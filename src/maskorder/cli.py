@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, label, train, sample, analyze-merge, sweep, replay,
 self-bleu. A JSON file passed via --config supplies defaults for any long
-option of the chosen subcommand (command-line flags win).
+option of the chosen subcommand (command-line flags win). Decoding is random
+(categorical sampling) exactly when --temperature is given.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .core import SampleRecord, Vocabulary, load_records, save_records, validate_partition
-from .denoiser import MarkovDenoiser, MarkovModel, RecordingDenoiser, ReplayDenoiser, TemperedDenoiser
+from .core import SampleRecord, Vocabulary, load_records, save_records
+from .denoiser import MarkovDenoiser, MarkovModel, ReplayDenoiser, TemperedDenoiser
 from .indicator import (
     IndicatorConfig,
     IndicatorModel,
@@ -27,7 +28,7 @@ from .indicator import (
 )
 from .labeling import LabelingConfig, build_dataset, load_dataset, save_dataset
 from .merge import final_results_preserving, merge_trajectory
-from .ni_sampler import NIConfig, ni_decode, oracle_indicator_decode
+from .ni_sampler import NIConfig
 from .orders import DecodeConfig, decode
 
 
@@ -43,7 +44,10 @@ def _build_denoiser(args):
     den = MarkovDenoiser(model)
     if args.dtemp is not None or args.dnoise:
         den = TemperedDenoiser(
-            den, temperature=args.dtemp or 1.0, noise_scale=args.dnoise, seed=args.dseed
+            den,
+            temperature=1.0 if args.dtemp is None else args.dtemp,
+            noise_scale=args.dnoise,
+            seed=args.dseed,
         )
     return model, den
 
@@ -65,7 +69,6 @@ def cmd_gen_data(args):
         count=args.count,
         cfg=_decode_cfg(args),
         seed=args.seed,
-        threads=args.threads,
     )
     save_records(records, args.out)
     print(f"wrote {len(records)} trajectories to {args.out}")
@@ -119,28 +122,16 @@ def cmd_sample(args):
             records.append(
                 SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, merged)
             )
-    elif args.sampler == "ni":
-        indicator = load_checkpoint(args.ckpt, expected_vocab_size=den.vocab.size)
-        ni_cfg = NIConfig(
-            base=DecodeConfig(threshold=args.base_epsilon, seed=args.seed),
-            eps_phi=args.eps_phi,
-            k1=indicator.config.k1,
-            k2=indicator.config.k2,
-            temperature=args.temperature if args.mode == "random" else None,
-        )
-        records = harness.gen_data(
-            den,
-            model,
-            prompt_len=args.prompt_len,
-            gen_len=args.gen_len,
-            count=args.count,
-            cfg=DecodeConfig(seed=args.seed),
-            seed=args.seed,
-            indicator=indicator,
-            ni_cfg=ni_cfg,
-            threads=args.threads,
-        )
     else:
+        indicator = ni_cfg = None
+        if args.sampler == "ni":
+            indicator = load_checkpoint(args.ckpt, expected_vocab_size=den.vocab.size)
+            ni_cfg = NIConfig(
+                base=DecodeConfig(threshold=args.base_epsilon, temperature=args.temperature, seed=args.seed),
+                eps_phi=args.eps_phi,
+                k1=indicator.config.k1,
+                k2=indicator.config.k2,
+            )
         records = harness.gen_data(
             den,
             model,
@@ -149,7 +140,8 @@ def cmd_sample(args):
             count=args.count,
             cfg=_decode_cfg(args),
             seed=args.seed,
-            threads=args.threads,
+            indicator=indicator,
+            ni_cfg=ni_cfg,
         )
     save_records(records, args.out)
     print(f"wrote {len(records)} trajectories to {args.out}")
@@ -230,14 +222,14 @@ def cmd_self_bleu(args):
     print(f"self-bleu-{args.n}: {value:.6f}")
 
 
-def build_parser():
+def build_parser(config=None):
+    """The CLI parser; config maps long option names to subcommand defaults."""
     parser = argparse.ArgumentParser(prog="maskorder")
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen-data", help="decode sampled prompts into a trajectory file")
     _add_denoiser_args(p)
@@ -245,7 +237,7 @@ def build_parser():
     p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
     p.add_argument("--rule", choices=["prob", "margin", "negentropy"], default="prob")
     p.add_argument("--epsilon", type=float, default=0.8)
-    p.add_argument("--temperature", type=float, default=None)
+    p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--prompt-len", type=int, default=8)
     p.add_argument("--gen-len", type=int, default=32)
@@ -281,14 +273,13 @@ def build_parser():
     p.add_argument("--sampler", choices=["full", "threshold", "ni", "merge-oracle"], required=True)
     p.add_argument("--rule", choices=["prob", "margin", "negentropy"], default="prob")
     p.add_argument("--epsilon", type=float, default=0.9)
-    p.add_argument("--temperature", type=float, default=None)
+    p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--prompt-len", type=int, default=8)
     p.add_argument("--gen-len", type=int, default=32)
     p.add_argument("--ckpt", help="indicator checkpoint (sampler=ni)")
     p.add_argument("--eps-phi", type=float, default=0.9)
     p.add_argument("--base-epsilon", type=float, default=0.9)
-    p.add_argument("--mode", choices=["greedy", "random"], default="greedy")
     p.add_argument("--traj", help="reference trajectories (sampler=merge-oracle)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -331,20 +322,34 @@ def build_parser():
     p.add_argument("--n", type=int, choices=[1, 2], default=1)
     p.set_defaults(func=cmd_self_bleu)
 
+    defaults = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    for p in sub.choices.values():
+        options = {a.dest for a in p._actions if a.option_strings}
+        p.set_defaults(**{dest: value for dest, value in defaults.items() if dest in options})
     return parser
+
+
+def _check(parser, args) -> None:
+    """Reject flag values and combinations that argparse cannot express."""
+    if getattr(args, "dtemp", None) is not None and args.dtemp <= 0:
+        parser.error(f"--dtemp must be positive, got {args.dtemp}")
+    if args.command == "sample":
+        if args.sampler == "ni" and not args.ckpt:
+            parser.error("--sampler ni requires --ckpt")
+        if args.sampler == "merge-oracle" and not args.traj:
+            parser.error("--sampler merge-oracle requires --traj")
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        # parse again with the file's values as subcommand defaults, so that
+        # every flag given on the command line, abbreviated or not, wins
         with open(args.config) as fh:
-            defaults = json.load(fh)
-        specified = {a.lstrip("-").replace("-", "_").split("=")[0] for a in (argv or sys.argv[1:])}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in specified:
-                setattr(args, attr, value)
+            parser = build_parser(json.load(fh))
+        args = parser.parse_args(argv)
+    _check(parser, args)
     args.func(args)
 
 

@@ -240,14 +240,28 @@ class SampleRecord:
 
     @staticmethod
     def from_json(line: str) -> "SampleRecord":
+        """Parse one JSONL record; its steps must partition range(gen_len) and
+        its prompt and tokens must lie in the vocabulary."""
         d = json.loads(line)
         traj = Trajectory(
             tuple(frozenset((p, t) for p, t in step) for step in d["steps"]),
             meta={"sampler": d["sampler"], "seed": d["seed"], "denoiser": d["denoiser"]},
         )
+        vocab = Vocabulary(d["vocab_size"])
+        report = validate_partition(traj, range(d["gen_len"]))
+        if not report.ok:
+            raise ValueError(
+                f"record {d['id']!r}: steps are not a partition of range({d['gen_len']}): {report.violations}"
+            )
+        tokens = list(d["prompt"]) + [t for step in traj.steps for _, t in step]
+        outside = sorted({t for t in tokens if not vocab.is_token(t)})
+        if outside:
+            raise ValueError(
+                f"record {d['id']!r}: tokens {outside} outside the vocabulary of size {vocab.size}"
+            )
         return SampleRecord(
             id=d["id"],
-            vocab=Vocabulary(d["vocab_size"]),
+            vocab=vocab,
             prompt=tuple(d["prompt"]),
             gen_len=d["gen_len"],
             trajectory=traj,

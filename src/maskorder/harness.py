@@ -8,17 +8,14 @@ and fills in measured timings only when explicitly requested.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SampleRecord, Trajectory, final_tokens
+from .core import SampleRecord, final_tokens
 from .denoiser import MarkovModel
-from .merge import merge_trajectory
 from .ni_sampler import NIConfig, ni_decode
 from .orders import DecodeConfig, decode
 
@@ -88,17 +85,6 @@ def sample_prompts(model: MarkovModel, prompt_len: int, count: int, seed: int) -
     return [model.sample_sequence(prompt_len, rng) for _ in range(count)]
 
 
-def _decode_one(args):
-    denoiser, prompt, gen_len, cfg, indicator, ni_cfg, ident = args
-    if ni_cfg is not None:
-        traj = ni_decode(denoiser, indicator, prompt, gen_len, ni_cfg)
-    else:
-        traj = decode(denoiser, prompt, gen_len, cfg)
-    return SampleRecord(
-        id=ident, vocab=denoiser.vocab, prompt=tuple(prompt), gen_len=gen_len, trajectory=traj
-    )
-
-
 def gen_data(
     denoiser,
     prompt_model: MarkovModel,
@@ -109,50 +95,25 @@ def gen_data(
     seed: int,
     indicator=None,
     ni_cfg: NIConfig = None,
-    threads: int = 1,
 ) -> list:
     """Decode `count` freshly sampled prompts and return their records.
 
-    Each record gets its own derived decode seed so random-mode runs are
-    reproducible prompt by prompt.
+    With ni_cfg the decode is indicator-gated and cfg is unused. Each record
+    gets its own derived decode seed so random-mode runs are reproducible
+    prompt by prompt.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    prompts = sample_prompts(prompt_model, prompt_len, count, seed)
-    jobs = []
-    for i, prompt in enumerate(prompts):
+    records = []
+    for i, prompt in enumerate(sample_prompts(prompt_model, prompt_len, count, seed)):
         per_seed = seed * 100003 + i
-        job_cfg = replace(cfg, seed=per_seed)
-        job_ni = replace(ni_cfg, base=replace(ni_cfg.base, seed=per_seed)) if ni_cfg else None
-        jobs.append((denoiser, prompt, gen_len, job_cfg, indicator, job_ni, f"s{seed}-{i}"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_decode_one, jobs))
-    return [_decode_one(job) for job in jobs]
-
-
-def _run_rows(denoiser, model, prompts, gen_len, runs, reference, timings):
-    rows = []
-    for method, knob, cfg, indicator, ni_cfg in runs:
-        start = time.perf_counter()
-        records = []
-        for i, prompt in enumerate(prompts):
-            records.append(
-                _decode_one((denoiser, prompt, gen_len, cfg, indicator, ni_cfg, f"{method}-{i}"))
-            )
-        elapsed = time.perf_counter() - start
-        metrics = evaluate(records, reference, model, wall_time=elapsed if timings else 0.0)
-        rows.append(
-            {
-                "method": method,
-                "threshold": knob,
-                "steps": metrics.steps,
-                "exact_match_rate": metrics.exact_match_rate,
-                "seq_logprob": metrics.seq_logprob,
-                "wall_time": metrics.wall_time,
-            }
-        )
-    return rows
+        if ni_cfg is None:
+            traj = decode(denoiser, prompt, gen_len, replace(cfg, seed=per_seed))
+        else:
+            job_ni = replace(ni_cfg, base=replace(ni_cfg.base, seed=per_seed))
+            traj = ni_decode(denoiser, indicator, prompt, gen_len, job_ni)
+        records.append(SampleRecord(f"s{seed}-{i}", denoiser.vocab, tuple(prompt), gen_len, traj))
+    return records
 
 
 def sweep(
@@ -167,29 +128,34 @@ def sweep(
 ) -> tuple:
     """Threshold grid plus indicator grid against a shared full-step reference.
 
-    Returns (rows, dominance summary). Deterministic given the seed unless
-    timings are enabled.
+    Every run decodes the same `count` prompts through gen_data. Returns
+    (rows, dominance summary). Deterministic given the seed unless timings
+    are enabled.
     """
-    prompts = sample_prompts(model, prompt_len, count, seed)
-    reference = [
-        _decode_one((denoiser, p, gen_len, DecodeConfig(seed=seed * 100003 + i), None, None, f"ref-{i}"))
-        for i, p in enumerate(prompts)
-    ]
-    runs = [
-        ("threshold", eps, DecodeConfig(threshold=eps, seed=seed), None, None)
-        for eps in THRESHOLD_GRID
-    ]
+    reference = gen_data(denoiser, model, prompt_len, gen_len, count, DecodeConfig(), seed)
+    runs = [("threshold", eps, DecodeConfig(threshold=eps), None) for eps in THRESHOLD_GRID]
     runs += [
-        (
-            "ni",
-            eps_phi,
-            None,
-            indicator,
-            NIConfig(base=DecodeConfig(threshold=0.9, seed=seed), eps_phi=eps_phi),
-        )
+        ("ni", eps_phi, None, NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=eps_phi))
         for eps_phi in INDICATOR_GRID
     ]
-    rows = _run_rows(denoiser, model, prompts, gen_len, runs, reference, timings)
+    rows = []
+    for method, knob, cfg, ni_cfg in runs:
+        start = time.perf_counter()
+        records = gen_data(
+            denoiser, model, prompt_len, gen_len, count, cfg, seed, indicator=indicator, ni_cfg=ni_cfg
+        )
+        elapsed = time.perf_counter() - start
+        metrics = evaluate(records, reference, model, wall_time=elapsed if timings else 0.0)
+        rows.append(
+            {
+                "method": method,
+                "threshold": knob,
+                "steps": metrics.steps,
+                "exact_match_rate": metrics.exact_match_rate,
+                "seq_logprob": metrics.seq_logprob,
+                "wall_time": metrics.wall_time,
+            }
+        )
     return rows, dominance_summary(rows)
 
 

@@ -52,14 +52,19 @@ class DatasetFile:
         return sum(ex.label for ex in self.examples) / len(self.examples)
 
 
-def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig) -> list:
-    """Labeled examples for every masked position at trajectory cut k."""
+def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> list:
+    """Labeled examples for every masked position at trajectory cut k.
+
+    out, when given, is the denoiser's answer at that cut's state, which
+    saves the query.
+    """
     traj = record.trajectory
     if not 1 <= k <= traj.n:
         raise ValueError(f"cut index {k} out of range 1..{traj.n}")
     base = record.base()
     state = apply_steps(base, traj, k)
-    out = denoiser.query(state)
+    if out is None:
+        out = denoiser.query(state)
     idx = count_mergeable(traj, k, state, denoiser, out=out)
     mergeable = {pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step}
     P = state.prompt_len

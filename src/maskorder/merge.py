@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MaskedSequence, Trajectory, apply_steps, final_tokens
+from .core import MaskedSequence, Trajectory, final_tokens
+from .orders import run_steps
 
 __all__ = ["MergeReport", "count_mergeable", "merge_trajectory", "final_results_preserving"]
 
@@ -68,30 +69,20 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
     Tokens are carried from the reference, never re-sampled, so the merged
     trajectory's final tokens equal the reference's exactly.
     """
-    n = traj.n
-    steps, groups = [], []
-    step = 1
-    state = base
-    while step <= n:
-        idx = count_mergeable(traj, step, state, denoiser)
-        merged = frozenset().union(*traj.steps[step - 1 : idx - 1])
-        steps.append(merged)
-        groups.append((step, idx - 1))
-        state = state.reveal(sorted(merged))
-        step = idx
+    groups = []
+
+    def choose(out, state):
+        k = groups[-1][1] + 1 if groups else 1
+        idx = count_mergeable(traj, k, state, denoiser, out=out)
+        groups.append((k, idx - 1))
+        return dict(pair for step in traj.steps[k - 1 : idx - 1] for pair in step)
+
+    steps = run_steps(denoiser, base, choose, traj.n)
     merged_traj = Trajectory(
-        tuple(steps),
+        steps,
         meta={**traj.meta, "sampler": f"merge({traj.meta.get('sampler', '?')})"},
     )
-    preserved = final_tokens(merged_traj) == final_tokens(traj)
-    report = MergeReport(
-        original_steps=n,
-        merged_steps=len(steps),
-        speedup=n / len(steps) if steps else 1.0,
-        per_group=tuple(groups),
-        preserved=preserved,
-    )
-    return merged_traj, report
+    return merged_traj, _report(traj, merged_traj, tuple(groups))
 
 
 def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
@@ -99,37 +90,35 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     reference final token at that position.
 
     When no position matches, the next unrevealed position in reference step
-    order is revealed instead, which guarantees termination in at most n
-    steps. Committed tokens are always the reference finals, so the result is
-    preserved by construction; only the step structure differs.
+    order is revealed instead, so every step reveals at least one position
+    and the order ends within gen_len steps. It usually needs fewer steps than
+    the reference, but with an imperfect denoiser it can need more. Committed
+    tokens are always the reference finals, so the result is preserved by
+    construction; only the step structure differs.
     """
     finals = final_tokens(traj)
     ref_order = [pos for step in traj.steps for pos in sorted(p for p, _ in step)]
-    state = base
     P = base.prompt_len
-    steps = []
-    for _ in range(traj.n):
+
+    def choose(out, state):
         masked = [p - P for p in state.masked_positions()]
-        if not masked:
-            break
-        out = denoiser.query(state)
         chosen = [pos for pos in masked if int(np.argmax(out.row(P + pos))) == finals[pos]]
         if not chosen:
             chosen = [next(pos for pos in ref_order if pos in set(masked))]
-        step = frozenset((pos, finals[pos]) for pos in chosen)
-        steps.append(step)
-        state = state.reveal(sorted(step))
-    if state.masked_positions():
-        raise RuntimeError("final-results-preserving order exceeded its step budget")
+        return {pos: finals[pos] for pos in chosen}
+
     frp_traj = Trajectory(
-        tuple(steps),
+        run_steps(denoiser, base, choose, base.gen_len),
         meta={**traj.meta, "sampler": f"final-preserving({traj.meta.get('sampler', '?')})"},
     )
-    report = MergeReport(
+    return frp_traj, _report(traj, frp_traj, None)
+
+
+def _report(traj: Trajectory, result: Trajectory, per_group) -> MergeReport:
+    return MergeReport(
         original_steps=traj.n,
-        merged_steps=len(steps),
-        speedup=traj.n / len(steps) if steps else 1.0,
-        per_group=None,
-        preserved=final_tokens(frp_traj) == finals,
+        merged_steps=result.n,
+        speedup=traj.n / result.n if result.n else 1.0,
+        per_group=per_group,
+        preserved=final_tokens(result) == final_tokens(traj),
     )
-    return frp_traj, report

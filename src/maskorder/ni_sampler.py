@@ -13,27 +13,31 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MaskedSequence, Trajectory, apply_steps
+from .core import MaskedSequence, Trajectory, apply_steps, final_tokens
 from .denoiser import LOG_FLOOR, extract_features
-from .merge import count_mergeable
-from .orders import DecodeConfig, commit_token, select_positions
+from .labeling import LabelingConfig, label_state
+from .orders import DecodeConfig, commit_token, run_steps, select_positions
 
 __all__ = ["NIConfig", "ConstantIndicator", "ni_decode", "oracle_indicator_decode"]
 
 
 @dataclass(frozen=True)
 class NIConfig:
+    """Indicator-gated decode settings.
+
+    base selects the progress-guaranteeing positions and is the token source:
+    base.temperature None commits argmax tokens, a float samples them (random
+    mode) from the generator seeded with base.seed.
+    """
+
     base: DecodeConfig = field(default_factory=lambda: DecodeConfig(threshold=0.9))
     eps_phi: float = 0.9
     k1: int = 4
     k2: int = 8
-    temperature: Optional[float] = None  # None = greedy, float = random mode
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_phi <= 1.0:
             raise ValueError(f"eps_phi must be in [0, 1], got {self.eps_phi}")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 class ConstantIndicator:
@@ -62,42 +66,30 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
     """Decode with the base sampler plus indicator-gated parallel reveals."""
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
-    state = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     rng = np.random.default_rng(cfg.base.seed)
-    P = state.prompt_len
-    random_mode = cfg.temperature is not None
-    steps = []
-    for _ in range(gen_len):
-        if not state.masked_positions():
-            break
-        out = denoiser.query(state)
-        base_positions = sorted(select_positions(out, cfg.base))
+    temperature = cfg.base.temperature
+    random_mode = temperature is not None
+
+    def choose(out, state):
         reveals = {
-            pos: commit_token(out.row(pos), cfg.temperature, rng) for pos in base_positions
+            pos: commit_token(out.row(pos), temperature, rng)
+            for pos in sorted(select_positions(out, cfg.base))
         }
         remaining = [p for p in state.masked_positions() if p not in reveals]
         if remaining:
             sampled = {}
-            bundles = []
-            for pos in remaining:
-                if random_mode:
-                    sampled[pos] = commit_token(out.row(pos), cfg.temperature, rng)
-                    bundles.append(_bundle_for(out, pos, cfg, sampled[pos]))
-                else:
-                    bundles.append(_bundle_for(out, pos, cfg))
+            if random_mode:
+                sampled = {pos: commit_token(out.row(pos), temperature, rng) for pos in remaining}
+            bundles = [_bundle_for(out, pos, cfg, sampled.get(pos)) for pos in remaining]
             scores = indicator.score_bundles(bundles)
             for pos, score in zip(remaining, scores):
                 if score >= cfg.eps_phi:
-                    reveals[pos] = (
-                        sampled[pos] if random_mode else int(np.argmax(out.row(pos)))
-                    )
-        step = frozenset((pos - P, tok) for pos, tok in reveals.items())
-        steps.append(step)
-        state = state.reveal(sorted(step))
-    if state.masked_positions():
-        raise RuntimeError("ni_decode exceeded its step budget")
+                    reveals[pos] = sampled[pos] if random_mode else int(np.argmax(out.row(pos)))
+        return {pos - state.prompt_len: tok for pos, tok in reveals.items()}
+
+    base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     return Trajectory(
-        tuple(steps),
+        run_steps(denoiser, base, choose, gen_len),
         meta={
             "sampler": "ni",
             "seed": cfg.base.seed,
@@ -116,19 +108,20 @@ def oracle_indicator_decode(denoiser, record, cfg: Optional[NIConfig] = None) ->
     """
     traj = record.trajectory
     base = record.base()
-    state = base
+    finals = final_tokens(traj)
+    label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
     k = 1
-    steps = []
-    while k <= traj.n:
-        expected = apply_steps(base, traj, k)
-        if state.tokens != expected.tokens:
+
+    def choose(out, state):
+        nonlocal k
+        if state.tokens != apply_steps(base, traj, k).tokens:
             raise AssertionError("oracle decode diverged from the reference trajectory")
-        idx = count_mergeable(traj, k, state, denoiser)
-        step = frozenset().union(*traj.steps[k - 1 : idx - 1])
-        steps.append(step)
-        state = state.reveal(sorted(step))
-        k = idx
+        chosen = {ex.pos for ex in label_state(record, k, denoiser, label_cfg, out=out) if ex.label}
+        while k <= traj.n and all(pos in chosen for pos, _ in traj.steps[k - 1]):
+            k += 1
+        return {pos: finals[pos] for pos in chosen}
+
     return Trajectory(
-        tuple(steps),
+        run_steps(denoiser, base, choose, traj.n),
         meta={**traj.meta, "sampler": "oracle-indicator"},
     )

@@ -18,7 +18,7 @@ from .denoiser import LOG_FLOOR, DenoiserOutput
 
 RULES = ("prob", "margin", "negentropy")
 
-__all__ = ["RULES", "DecodeConfig", "position_score", "select_positions", "decode", "categorical_sample"]
+__all__ = ["RULES", "DecodeConfig", "position_score", "select_positions", "run_steps", "decode", "categorical_sample"]
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,38 @@ def commit_token(row: np.ndarray, temperature: Optional[float], rng) -> int:
     return categorical_sample(row, temperature, rng)
 
 
+def run_steps(denoiser, base: MaskedSequence, choose, max_steps: int) -> tuple:
+    """The decode loop every sampler shares: query, choose, reveal.
+
+    Each step queries the denoiser once at the current state and asks
+    choose(out, state) for the step's {generation position: token}. Raises
+    RuntimeError when positions are still masked after max_steps steps.
+    """
+    state = base
+    steps = []
+    while state.masked_positions():
+        if len(steps) == max_steps:
+            raise RuntimeError(f"decode exceeded its step budget of {max_steps}; the policy made no progress")
+        out = denoiser.query(state)
+        step = sorted(choose(out, state).items())
+        steps.append(frozenset(step))
+        state = state.reveal(step)
+    return tuple(steps)
+
+
 def decode(denoiser, prompt, gen_len: int, cfg: DecodeConfig) -> Trajectory:
     """Run a baseline decode to completion and return its trajectory."""
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
-    state = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     rng = np.random.default_rng(cfg.seed)
-    steps = []
-    for _ in range(gen_len):
-        if not state.masked_positions():
-            break
-        out = denoiser.query(state)
-        positions = select_positions(out, cfg)
-        step = frozenset(
-            (pos - state.prompt_len, commit_token(out.row(pos), cfg.temperature, rng))
-            for pos in sorted(positions)
-        )
-        steps.append(step)
-        state = state.reveal(sorted(step))
-    if state.masked_positions():
-        raise RuntimeError("decode exceeded its step budget; sampler made no progress")
+
+    def choose(out, state):
+        return {
+            pos - state.prompt_len: commit_token(out.row(pos), cfg.temperature, rng)
+            for pos in sorted(select_positions(out, cfg))
+        }
+
+    base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     meta = {
         "sampler": cfg.sampler_name,
         "rule": cfg.rule,
@@ -139,4 +151,4 @@ def decode(denoiser, prompt, gen_len: int, cfg: DecodeConfig) -> Trajectory:
     }
     if cfg.threshold is not None:
         meta["threshold"] = cfg.threshold
-    return Trajectory(tuple(steps), meta=meta)
+    return Trajectory(run_steps(denoiser, base, choose, gen_len), meta=meta)

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import sticky_chain
 from maskorder.cli import main
-from maskorder.core import SampleRecord, Trajectory, load_records, save_records
+from maskorder.core import SampleRecord, Trajectory, final_tokens, load_records, save_records
 from maskorder.denoiser import MarkovDenoiser, RecordingDenoiser
-from maskorder.indicator import load_checkpoint
+from maskorder.indicator import IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
 from maskorder.labeling import load_dataset
 from maskorder.orders import DecodeConfig, decode
 
@@ -149,6 +149,113 @@ class TestConfigDefaults:
         )
         assert c.read_bytes() != a.read_bytes()
 
+    def test_abbreviated_flag_wins_over_the_config_file(self, tmp_path, chain_file):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"epsilon": 0.5, "gen-len": 10}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run(
+            "--config", str(cfg), "gen-data", "--denoiser", chain_file, "--count", "2",
+            "--prompt-len", "2", "--gen", "6", "--out", str(a),
+        )
+        run(
+            "gen-data", "--denoiser", chain_file, "--count", "2", "--prompt-len", "2",
+            "--gen-len", "6", "--epsilon", "0.5", "--out", str(b),
+        )
+        assert a.read_bytes() == b.read_bytes()
+        assert all(r.gen_len == 6 for r in load_records(a))
+
+    def test_abbreviated_epochs_flag_wins(self, tmp_path, chain_file, capsys):
+        traj, data, ckpt = (tmp_path / name for name in ("t.jsonl", "d.jsonl", "c.ckpt"))
+        run(
+            "gen-data", "--denoiser", chain_file, "--count", "2", "--prompt-len", "2",
+            "--gen-len", "6", "--out", str(traj),
+        )
+        run("label", "--denoiser", chain_file, "--traj", str(traj), "--cuts", "2", "--out", str(data))
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"epochs": 5, "emb-dim": 4, "hidden-dim": 4, "depth": 1}))
+        capsys.readouterr()
+        run("--config", str(cfg), "train", "--data", str(data), "--epoch", "1", "--out", str(ckpt))
+        assert "for 1 epochs" in capsys.readouterr().out
+
+    def test_keys_of_other_subcommands_are_ignored(self, tmp_path, chain_file):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"epochs": 5, "func": "nothing", "command": "train"}))
+        out = tmp_path / "a.jsonl"
+        run(
+            "--config", str(cfg), "gen-data", "--denoiser", chain_file, "--count", "2",
+            "--prompt-len", "2", "--gen-len", "6", "--out", str(out),
+        )
+        assert len(load_records(out)) == 2
+
     def test_unknown_command_is_rejected(self):
         with pytest.raises(SystemExit):
             run("frobnicate")
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("value", ["0", "-1.5"])
+    def test_nonpositive_dtemp_is_rejected(self, tmp_path, chain_file, capsys, value):
+        err = _usage_error(
+            capsys, "gen-data", "--denoiser", chain_file, "--dtemp", value, "--count", "1",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "--dtemp must be positive" in err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_nonpositive_dtemp_from_the_config_file_is_rejected(self, tmp_path, chain_file, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"dtemp": 0}))
+        err = _usage_error(
+            capsys, "--config", str(cfg), "gen-data", "--denoiser", chain_file, "--count", "1",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "--dtemp must be positive" in err
+
+    def test_ni_sampler_needs_a_checkpoint(self, tmp_path, chain_file, capsys):
+        err = _usage_error(
+            capsys, "sample", "--denoiser", chain_file, "--sampler", "ni",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "--ckpt" in err
+
+    def test_merge_oracle_needs_reference_trajectories(self, tmp_path, chain_file, capsys):
+        err = _usage_error(
+            capsys, "sample", "--denoiser", chain_file, "--sampler", "merge-oracle",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "--traj" in err
+
+    def test_sample_has_no_mode_flag(self, tmp_path, chain_file, capsys):
+        err = _usage_error(
+            capsys, "sample", "--denoiser", chain_file, "--sampler", "full", "--mode", "random",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "unrecognized arguments" in err
+
+
+class TestRandomMode:
+    @pytest.mark.parametrize("sampler", ["full", "ni"])
+    def test_temperature_alone_selects_random_sampling(self, tmp_path, chain_file, sampler):
+        extra = ()
+        if sampler == "ni":
+            ckpt = tmp_path / "ind.ckpt"
+            feature_dim = MarkovDenoiser(sticky_chain(8, 0.9)).feature_dim
+            cfg = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
+            save_checkpoint(IndicatorModel.init(cfg, np.random.default_rng(0)), ckpt)
+            extra = ("--ckpt", str(ckpt), "--eps-phi", "0")
+        finals = []
+        for temperature in ((), ("--temperature", "2.0")):
+            out = tmp_path / f"{len(temperature)}.jsonl"
+            run(
+                "sample", "--denoiser", chain_file, "--sampler", sampler, "--count", "6",
+                "--prompt-len", "2", "--gen-len", "12", *extra, *temperature, "--out", str(out),
+            )
+            finals.append([final_tokens(r.trajectory) for r in load_records(out)])
+        assert finals[0] != finals[1]

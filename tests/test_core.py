@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,3 +144,42 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded.trajectory.meta["seed"] == 7
     # steps serialize in ascending position order
     assert '"steps": [[[0, 2], [1, 3]], [[2, 0]]]' in rec.to_json()
+
+
+class TestRecordValidation:
+    def _line(self, **changes):
+        steps = tuple(frozenset({(pos, pos % 4)}) for pos in range(8))
+        rec = SampleRecord("r7", Vocabulary(4), (1, 2), 8, Trajectory(steps, meta={"sampler": "full"}))
+        d = json.loads(rec.to_json())
+        d.update(changes)
+        return json.dumps(d)
+
+    def test_valid_record_loads(self):
+        assert SampleRecord.from_json(self._line()).trajectory.n == 8
+
+    def test_missing_last_step_is_rejected(self):
+        d = json.loads(self._line())
+        with pytest.raises(ValueError, match=r"record 'r7'.*never revealed: \[7\]"):
+            SampleRecord.from_json(self._line(steps=d["steps"][:-1]))
+
+    def test_position_outside_gen_len_is_rejected(self):
+        d = json.loads(self._line())
+        with pytest.raises(ValueError, match=r"record 'r7'.*outside region"):
+            SampleRecord.from_json(self._line(steps=d["steps"] + [[[8, 0]]]))
+
+    def test_token_outside_vocabulary_is_rejected(self):
+        d = json.loads(self._line())
+        d["steps"][3] = [[3, 4]]
+        with pytest.raises(ValueError, match=r"record 'r7'.*tokens \[4\] outside"):
+            SampleRecord.from_json(self._line(steps=d["steps"]))
+
+    def test_prompt_outside_vocabulary_is_rejected(self):
+        with pytest.raises(ValueError, match=r"record 'r7'.*tokens \[9\] outside"):
+            SampleRecord.from_json(self._line(prompt=[1, 9]))
+
+    def test_load_records_rejects_a_truncated_trajectory(self, tmp_path):
+        d = json.loads(self._line())
+        path = tmp_path / "traj.jsonl"
+        path.write_text(self._line() + "\n" + self._line(id="r8", steps=d["steps"][:-1]) + "\n")
+        with pytest.raises(ValueError, match="record 'r8'"):
+            load_records(path)

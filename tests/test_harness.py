@@ -95,11 +95,6 @@ class TestGenData:
         recs = gen_data(self.den, self.model, 2, 6, 4, DecodeConfig(temperature=1.0), seed=9)
         assert len({r.trajectory.meta["seed"] for r in recs}) == 4
 
-    def test_threads_do_not_change_the_result(self):
-        a = gen_data(self.den, self.model, 2, 6, 6, DecodeConfig(threshold=0.7), seed=1)
-        b = gen_data(self.den, self.model, 2, 6, 6, DecodeConfig(threshold=0.7), seed=1, threads=3)
-        assert [r.trajectory.steps for r in a] == [r.trajectory.steps for r in b]
-
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gen_data(self.den, self.model, 2, 6, 0, DecodeConfig(), seed=0)

@@ -29,7 +29,7 @@ class TestNIConfig:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            NIConfig(temperature=0.0)
+            NIConfig(base=DecodeConfig(temperature=0.0))
 
     def test_defaults(self):
         cfg = NIConfig()
@@ -82,7 +82,7 @@ class TestNIDecode:
 
     def test_random_mode_is_reproducible(self):
         den = MarkovDenoiser(sticky_chain(4, 0.6))
-        cfg = NIConfig(base=DecodeConfig(threshold=0.7, seed=5), temperature=1.0, k1=2, k2=2)
+        cfg = NIConfig(base=DecodeConfig(threshold=0.7, temperature=1.0, seed=5), k1=2, k2=2)
         a = ni_decode(den, ConstantIndicator(0.95), (0,), 12, cfg)
         b = ni_decode(den, ConstantIndicator(0.95), (0,), 12, cfg)
         assert a.steps == b.steps
@@ -94,7 +94,7 @@ class TestNIDecode:
         den = MarkovDenoiser(sticky_chain(4, 0.5))
         outs = set()
         for seed in range(8):
-            cfg = NIConfig(base=DecodeConfig(seed=seed), eps_phi=0.0, temperature=1.5, k1=2, k2=2)
+            cfg = NIConfig(base=DecodeConfig(temperature=1.5, seed=seed), eps_phi=0.0, k1=2, k2=2)
             traj = ni_decode(den, ConstantIndicator(0.0), (0,), 6, cfg)
             assert traj.n == 1
             outs.add(tuple(final_tokens(traj)))
