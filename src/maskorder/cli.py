@@ -89,8 +89,6 @@ def cmd_label(args):
 
 def cmd_train(args):
     ds = load_dataset(args.data)
-    if not ds.config:
-        sys.exit("dataset meta file missing; cannot infer feature geometry")
     cfg = IndicatorConfig(
         vocab_size=ds.config["V"],
         k1=ds.config["K1"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +112,13 @@ class DenoiserOutput:
     features: np.ndarray  # (n_masked, F)
 
     def index_of(self, pos: int) -> int:
-        try:
-            return self.positions.index(pos)
-        except ValueError:
-            raise KeyError(f"position {pos} not covered by this output") from None
+        j = bisect_left(self.positions, pos)
+        if j == len(self.positions) or self.positions[j] != pos:
+            raise KeyError(f"position {pos} not covered by this output")
+        return j
 
     def row(self, pos: int) -> np.ndarray:
         return self.dists[self.index_of(pos)]
-
-    def feature(self, pos: int) -> np.ndarray:
-        return self.features[self.index_of(pos)]
 
     @property
     def feature_dim(self) -> int:
@@ -129,11 +127,14 @@ class DenoiserOutput:
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Indicator inputs for a single masked position."""
+    """Indicator inputs for a batch of masked positions, one row each."""
 
-    top_tokens: tuple  # K1 token ids, descending probability
-    top_logits: np.ndarray  # K2 log-probabilities, non-increasing
-    hidden: np.ndarray  # length F
+    top_tokens: np.ndarray  # (n, K1) token ids, descending probability
+    top_logits: np.ndarray  # (n, K2) log-probabilities, non-increasing
+    hidden: np.ndarray  # (n, F)
+
+    def __len__(self) -> int:
+        return self.top_tokens.shape[0]
 
 
 def state_hash(seq: MaskedSequence) -> str:
@@ -141,11 +142,6 @@ def state_hash(seq: MaskedSequence) -> str:
     h.update(bytes(f"{seq.prompt_len}|{seq.vocab.size}|", "ascii"))
     h.update(np.asarray(seq.tokens, dtype=np.int64).tobytes())
     return h.hexdigest()
-
-
-def _ranked(row: np.ndarray):
-    # stable sort on -row: ties fall back to ascending token id
-    return np.argsort(-row, kind="stable")
 
 
 def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
@@ -244,15 +240,16 @@ def temper(
     return DenoiserOutput(out.positions, rows, features)
 
 
-def extract_features(out: DenoiserOutput, pos: int, k1: int, k2: int) -> FeatureBundle:
-    row = out.row(pos)
-    V = row.shape[0]
-    if k1 > V or k2 > V:
-        raise DenoiserError(f"K1={k1}/K2={k2} exceed vocabulary size {V}")
-    order = _ranked(row)
-    top_tokens = tuple(int(t) for t in order[:k1])
-    top_logits = np.log(np.maximum(row[order[:k2]], LOG_FLOOR))
-    return FeatureBundle(top_tokens, top_logits, np.array(out.feature(pos)))
+def extract_features(out: DenoiserOutput, rows, k1: int, k2: int) -> FeatureBundle:
+    """Indicator inputs for the given rows of out (row indices or a slice)."""
+    dists = out.dists[rows]
+    V = out.dists.shape[1]
+    if not (1 <= k1 <= V and 1 <= k2 <= V):
+        raise DenoiserError(f"K1={k1}/K2={k2} must lie in 1..{V}, the vocabulary size")
+    # stable sort on -dists: ties fall back to ascending token id
+    order = np.argsort(-dists, axis=1, kind="stable")
+    top_logits = np.log(np.maximum(np.take_along_axis(dists, order[:, :k2], axis=1), LOG_FLOOR))
+    return FeatureBundle(order[:, :k1], top_logits, out.features[rows])
 
 
 class MarkovDenoiser:

@@ -172,24 +172,16 @@ class IndicatorModel:
         )
         return probs[:, 1]
 
-    def score_bundles(self, bundles) -> np.ndarray:
-        tok_ids, logits, hidden = bundles_to_arrays(bundles)
-        return self.score_batch(tok_ids, logits, hidden)
-
-    def score(self, bundle) -> float:
-        return float(self.score_bundles([bundle])[0])
-
-
-def bundles_to_arrays(bundles):
-    tok_ids = np.asarray([b.top_tokens for b in bundles], dtype=np.int64)
-    logits = np.asarray([b.top_logits for b in bundles], dtype=np.float64)
-    hidden = np.asarray([b.hidden for b in bundles], dtype=np.float64)
-    return tok_ids, logits, hidden
+    def score_bundles(self, features) -> np.ndarray:
+        """Probability of the positive class for each row of a FeatureBundle."""
+        return self.score_batch(features.top_tokens, features.top_logits, features.hidden)
 
 
 def batch_arrays(examples):
     """Stack LabeledExamples into (tok_ids, logits, hidden, labels)."""
-    tok_ids, logits, hidden = bundles_to_arrays([ex.bundle for ex in examples])
+    tok_ids = np.asarray([ex.top_tokens for ex in examples], dtype=np.int64)
+    logits = np.asarray([ex.top_logits for ex in examples], dtype=np.float64)
+    hidden = np.asarray([ex.hidden for ex in examples], dtype=np.float64)
     labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
     return tok_ids, logits, hidden, labels
 

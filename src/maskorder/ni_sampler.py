@@ -27,7 +27,11 @@ class NIConfig:
 
     base selects the progress-guaranteeing positions and is the token source:
     base.temperature None commits argmax tokens, a float samples them (random
-    mode) from the generator seeded with base.seed.
+    mode) from the generator seeded with base.seed. Random mode draws a
+    candidate token for every masked position each step, revealed or not, to
+    put it into the features; so even with a gate that never fires its
+    generator stream differs from decode(base) after the first step, and NI
+    with a closed gate equals its base sampler only in greedy mode.
     """
 
     base: DecodeConfig = field(default_factory=lambda: DecodeConfig(threshold=0.9))
@@ -46,20 +50,8 @@ class ConstantIndicator:
     def __init__(self, value: float):
         self.value = value
 
-    def score_bundles(self, bundles) -> np.ndarray:
-        return np.full(len(bundles), self.value)
-
-
-def _bundle_for(out, pos, cfg: NIConfig, sampled_token=None):
-    bundle = extract_features(out, pos, cfg.k1, cfg.k2)
-    if sampled_token is None:
-        return bundle
-    # random mode: the actually sampled token and its log-probability take the
-    # top-1 slots; the other ranked slots are kept as-is
-    top_tokens = (sampled_token,) + bundle.top_tokens[1:]
-    top_logits = bundle.top_logits.copy()
-    top_logits[0] = np.log(max(float(out.row(pos)[sampled_token]), LOG_FLOOR))
-    return type(bundle)(top_tokens, top_logits, bundle.hidden)
+    def score_bundles(self, features) -> np.ndarray:
+        return np.full(len(features), self.value)
 
 
 def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Trajectory:
@@ -75,16 +67,19 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
             pos: commit_token(out.row(pos), temperature, rng)
             for pos in sorted(select_positions(out, cfg.base))
         }
-        remaining = [p for p in state.masked_positions() if p not in reveals]
-        if remaining:
-            sampled = {}
+        rest = [j for j, pos in enumerate(out.positions) if pos not in reveals]
+        if rest:
+            features = extract_features(out, rest, cfg.k1, cfg.k2)
+            tokens = features.top_tokens[:, 0]  # a view: the argmax, ties toward the lower id
             if random_mode:
-                sampled = {pos: commit_token(out.row(pos), temperature, rng) for pos in remaining}
-            bundles = [_bundle_for(out, pos, cfg, sampled.get(pos)) for pos in remaining]
-            scores = indicator.score_bundles(bundles)
-            for pos, score in zip(remaining, scores):
+                # the sampled token and its log-probability take the top-1
+                # slots; the other ranked slots are kept as-is
+                tokens[:] = [commit_token(out.dists[j], temperature, rng) for j in rest]
+                features.top_logits[:, 0] = np.log(np.maximum(out.dists[rest, tokens], LOG_FLOOR))
+            scores = indicator.score_bundles(features)
+            for j, tok, score in zip(rest, tokens, scores):
                 if score >= cfg.eps_phi:
-                    reveals[pos] = sampled[pos] if random_mode else int(np.argmax(out.row(pos)))
+                    reveals[out.positions[j]] = int(tok)
         return {pos - state.prompt_len: tok for pos, tok in reveals.items()}
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)

@@ -18,7 +18,7 @@ from .denoiser import LOG_FLOOR, DenoiserOutput
 
 RULES = ("prob", "margin", "negentropy")
 
-__all__ = ["RULES", "DecodeConfig", "position_score", "select_positions", "run_steps", "decode", "categorical_sample"]
+__all__ = ["RULES", "DecodeConfig", "position_scores", "select_positions", "run_steps", "decode", "categorical_sample"]
 
 
 @dataclass(frozen=True)
@@ -47,29 +47,19 @@ class DecodeConfig:
         return "full" if self.threshold is None else "threshold"
 
 
-def position_score(row: np.ndarray, rule: str) -> float:
-    """Confidence score of one probability row; larger means more confident."""
-    row = np.asarray(row)
-    if abs(row.sum() - 1.0) > 1e-6 or np.any(row < 0):
-        raise ValueError("row is not a normalized distribution")
+def position_scores(dists: np.ndarray, rule: str) -> np.ndarray:
+    """Confidence score of every probability row; larger means more confident."""
+    dists = np.asarray(dists)
+    if not (np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-6) and np.all(dists >= 0)):
+        raise ValueError("a row is not a normalized distribution")
     if rule == "prob":
-        return float(row.max())
+        return dists.max(axis=1)
     if rule == "margin":
-        top2 = np.partition(row, -2)[-2:]
-        return float(top2[1] - top2[0])
+        top2 = np.partition(dists, -2, axis=1)[:, -2:]
+        return top2[:, 1] - top2[:, 0]
     if rule == "negentropy":
-        return float(np.sum(row * np.log(np.maximum(row, LOG_FLOOR))))
+        return np.sum(dists * np.log(np.maximum(dists, LOG_FLOOR)), axis=1)
     raise ValueError(f"unknown rule {rule!r}")
-
-
-def _best_position(out: DenoiserOutput, rule: str) -> int:
-    # ties break toward the lowest position index
-    best_pos, best_score = None, -np.inf
-    for j, pos in enumerate(out.positions):
-        score = position_score(out.dists[j], rule)
-        if score > best_score:
-            best_pos, best_score = pos, score
-    return best_pos
 
 
 def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
@@ -78,19 +68,16 @@ def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
     Full-step mode picks the single best-scoring position. Threshold mode
     picks every position whose top-1 probability is >= the threshold, falling
     back to the single best-scoring position so that progress is guaranteed.
+    Ties in score break toward the lowest position.
     """
     if not out.positions:
         raise ValueError("no masked positions to select from")
-    if cfg.threshold is None:
-        return [_best_position(out, cfg.rule)]
-    chosen = [
-        pos
-        for j, pos in enumerate(out.positions)
-        if out.dists[j].max() >= cfg.threshold
-    ]
-    if not chosen:
-        chosen = [_best_position(out, cfg.rule)]
-    return chosen
+    scores = position_scores(out.dists, cfg.rule)
+    if cfg.threshold is not None:
+        confident = np.flatnonzero(out.dists.max(axis=1) >= cfg.threshold)
+        if len(confident):
+            return [out.positions[j] for j in confident]
+    return [out.positions[int(np.argmax(scores))]]
 
 
 def categorical_sample(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:

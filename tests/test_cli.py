@@ -26,7 +26,7 @@ def run(*argv):
 class TestPipeline:
     def test_end_to_end(self, tmp_path, chain_file, capsys):
         traj = tmp_path / "traj.jsonl"
-        data = tmp_path / "train.jsonl"
+        data = tmp_path / "train.npz"
         ckpt = tmp_path / "ind.ckpt"
 
         run(
@@ -44,7 +44,7 @@ class TestPipeline:
         )
         ds = load_dataset(data)
         assert ds.examples and ds.config["V"] == 8
-        assert (tmp_path / "train.jsonl.meta.json").exists()
+        assert (tmp_path / "train.npz.meta.json").exists()
 
         run(
             "train", "--data", str(data), "--epochs", "3", "--lr", "1e-3",
@@ -165,7 +165,7 @@ class TestConfigDefaults:
         assert all(r.gen_len == 6 for r in load_records(a))
 
     def test_abbreviated_epochs_flag_wins(self, tmp_path, chain_file, capsys):
-        traj, data, ckpt = (tmp_path / name for name in ("t.jsonl", "d.jsonl", "c.ckpt"))
+        traj, data, ckpt = (tmp_path / name for name in ("t.jsonl", "d.npz", "c.ckpt"))
         run(
             "gen-data", "--denoiser", chain_file, "--count", "2", "--prompt-len", "2",
             "--gen-len", "6", "--out", str(traj),

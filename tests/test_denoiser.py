@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_posterior, permutation_chain, random_chain, sticky_chain
 from maskorder.core import MaskedSequence, Vocabulary
 from maskorder.denoiser import (
+    LOG_FLOOR,
     DenoiserError,
+    DenoiserOutput,
     MarkovDenoiser,
     MarkovModel,
     RecordingDenoiser,
@@ -90,7 +94,7 @@ class TestMarkovPosterior:
         out = markov_posterior(model, seq)
         L = 5
         # position 2: nearest unmasked left is 0, no unmasked right
-        np.testing.assert_allclose(out.feature(2)[8:], [2 / L, 1.0, 1.0])
+        np.testing.assert_allclose(out.features[out.index_of(2)][8:], [2 / L, 1.0, 1.0])
 
     def test_reveal_argmax_and_requery_stays_normalized(self):
         rng = np.random.default_rng(3)
@@ -144,34 +148,84 @@ class TestTemper:
         assert np.array_equal(den.query(seq).dists, den.query(seq).dists)
 
 
+@st.composite
+def distributions(draw):
+    """(M, V) probability rows, with ties and exact zeros."""
+    M, V = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    weights = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=V, max_size=V), min_size=M, max_size=M))
+    rows = np.asarray(weights, dtype=np.float64)
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def outputs(draw):
+    """DenoiserOutput of distributions() over ascending positions."""
+    rows = draw(distributions())
+    M, V = rows.shape
+    positions = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=M, max_size=M))))
+    return DenoiserOutput(positions, rows, np.arange(M * (V + 3), dtype=np.float64).reshape(M, V + 3))
+
+
 class TestExtractFeatures:
     def _single_row_output(self, row):
-        from maskorder.denoiser import DenoiserOutput
-
         row = np.asarray(row, dtype=np.float64)
         return DenoiserOutput((0,), row[None, :], np.zeros((1, len(row) + 3)))
 
     def test_hand_computed_top_slices(self):
         out = self._single_row_output([0.7, 0.2, 0.1])
-        fb = extract_features(out, 0, k1=2, k2=2)
-        assert fb.top_tokens == (0, 1)
-        np.testing.assert_allclose(fb.top_logits, [np.log(0.7), np.log(0.2)])
+        fb = extract_features(out, [0], k1=2, k2=2)
+        assert fb.top_tokens.tolist() == [[0, 1]]
+        np.testing.assert_allclose(fb.top_logits, [[np.log(0.7), np.log(0.2)]])
 
     def test_uniform_tie_breaks_toward_low_ids(self):
-        fb = extract_features(self._single_row_output([0.25] * 4), 0, k1=2, k2=1)
-        assert fb.top_tokens == (0, 1)
+        fb = extract_features(self._single_row_output([0.25] * 4), [0], k1=2, k2=1)
+        assert fb.top_tokens.tolist() == [[0, 1]]
 
     def test_top_logit_recovers_row_maximum(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             row = rng.dirichlet(np.ones(6))
-            fb = extract_features(self._single_row_output(row), 0, 3, 3)
-            assert np.exp(fb.top_logits[0]) == pytest.approx(row.max(), abs=1e-9)
-            assert np.all(np.diff(fb.top_logits) <= 0)
+            fb = extract_features(self._single_row_output(row), [0], 3, 3)
+            assert np.exp(fb.top_logits[0, 0]) == pytest.approx(row.max(), abs=1e-9)
+            assert np.all(np.diff(fb.top_logits[0]) <= 0)
 
     def test_k_larger_than_vocab(self):
         with pytest.raises(DenoiserError):
-            extract_features(self._single_row_output([0.5, 0.5]), 0, k1=3, k2=1)
+            extract_features(self._single_row_output([0.5, 0.5]), [0], k1=3, k2=1)
+
+    def test_k_below_one(self):
+        with pytest.raises(DenoiserError):
+            extract_features(self._single_row_output([0.5, 0.5]), [0], k1=1, k2=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(outputs(), st.data())
+    def test_equals_a_per_row_stable_argsort(self, out, data):
+        V = out.dists.shape[1]
+        k1, k2 = data.draw(st.integers(1, V)), data.draw(st.integers(1, V))
+        rows = data.draw(st.lists(st.integers(0, len(out.positions) - 1), unique=True))
+        fb = extract_features(out, rows, k1, k2)
+        assert len(fb) == len(rows)
+        assert fb.top_tokens.shape == (len(rows), k1) and fb.top_logits.shape == (len(rows), k2)
+        for i, j in enumerate(rows):
+            order = np.argsort(-out.dists[j], kind="stable")
+            assert fb.top_tokens[i].tolist() == order[:k1].tolist()
+            assert fb.top_logits[i].tolist() == np.log(np.maximum(out.dists[j][order[:k2]], LOG_FLOOR)).tolist()
+            assert fb.hidden[i].tolist() == out.features[j].tolist()
+        whole = extract_features(out, slice(None), k1, k2)
+        for name in ("top_tokens", "top_logits", "hidden"):
+            assert getattr(whole, name)[rows].tolist() == getattr(fb, name).tolist()
+
+
+class TestDenoiserOutput:
+    @settings(max_examples=30, deadline=None)
+    @given(outputs(), st.integers(0, 21))
+    def test_index_of_finds_exactly_the_covered_positions(self, out, pos):
+        if pos in out.positions:
+            assert out.positions[out.index_of(pos)] == pos
+        else:
+            with pytest.raises(KeyError):
+                out.index_of(pos)
 
 
 class TestReplay:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskorder.denoiser import FeatureBundle
+from maskorder.labeling import LabeledExample
 from maskorder.indicator import (
     CheckpointError,
     IndicatorConfig,
@@ -35,24 +36,16 @@ def randomized_head(model, rng):
     return IndicatorModel(model.config, params)
 
 
-class SyntheticExample:
-    def __init__(self, bundle, label):
-        self.bundle = bundle
-        self.label = label
-
-
 def separable_dataset(cfg, N, rng):
     """Label 1 exactly when the top log-probability is above its median."""
     logits = np.sort(rng.normal(size=(N, cfg.k2)), axis=1)[:, ::-1]
     cutoff = np.median(logits[:, 0])
     examples = []
     for i in range(N):
-        bundle = FeatureBundle(
-            tuple(rng.integers(0, cfg.vocab_size, size=cfg.k1)),
-            logits[i],
-            rng.normal(size=cfg.feature_dim),
-        )
-        examples.append(SyntheticExample(bundle, int(logits[i, 0] > cutoff)))
+        top_tokens = rng.integers(0, cfg.vocab_size, size=cfg.k1)
+        hidden = rng.normal(size=cfg.feature_dim)
+        label = int(logits[i, 0] > cutoff)
+        examples.append(LabeledExample(top_tokens, logits[i], hidden, label, 0.0, "synthetic", 1, i))
     return examples
 
 
@@ -94,6 +87,12 @@ class TestModelBasics:
         b = model.score_batch(tok_ids, logits, hidden)
         assert np.array_equal(a, b)
         assert np.all((a > 0) & (a < 1))
+
+    def test_score_bundles_scores_each_row(self):
+        model = randomized_head(IndicatorModel.init(SMALL, np.random.default_rng(3)), np.random.default_rng(4))
+        tok_ids, logits, hidden, _ = random_batch(SMALL, 8, np.random.default_rng(5))
+        scores = model.score_bundles(FeatureBundle(tok_ids, logits, hidden))
+        assert np.array_equal(scores, model.score_batch(tok_ids, logits, hidden))
 
     def test_paper_scale_forward_pass(self):
         cfg = IndicatorConfig(vocab_size=32, k1=4, k2=8, feature_dim=35, hidden_dim=768, depth=5)

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import make_instance, sticky_chain
 from maskorder.core import final_tokens, validate_partition
-from maskorder.denoiser import MarkovDenoiser
+from maskorder.denoiser import LOG_FLOOR, MarkovDenoiser, extract_features
 from maskorder.merge import merge_trajectory
 from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
-from maskorder.orders import DecodeConfig, decode
+from maskorder.orders import DecodeConfig, commit_token, decode, select_positions
 
 
 class CountingDenoiser:
@@ -15,10 +15,23 @@ class CountingDenoiser:
         self.vocab = inner.vocab
         self.config_id = inner.config_id
         self.queries = 0
+        self.outs = []
 
     def query(self, seq):
         self.queries += 1
-        return self.inner.query(seq)
+        self.outs.append(self.inner.query(seq))
+        return self.outs[-1]
+
+
+class AlternatingIndicator:
+    """Gate that fires on every other row it scores and keeps each batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def score_bundles(self, features):
+        self.batches.append(features)
+        return (np.arange(len(features)) % 2).astype(np.float64)
 
 
 class TestNIConfig:
@@ -99,6 +112,48 @@ class TestNIDecode:
             assert traj.n == 1
             outs.add(tuple(final_tokens(traj)))
         assert len(outs) > 1
+
+
+class TestIndicatorBatches:
+    @pytest.mark.parametrize("temperature", [None, 1.0])
+    def test_one_batch_per_step_over_the_positions_the_base_rule_left(self, temperature):
+        den = CountingDenoiser(MarkovDenoiser(sticky_chain(5, 0.6)))
+        base = DecodeConfig(threshold=0.8, temperature=temperature, seed=3)
+        indicator = AlternatingIndicator()
+        prompt = (0, 2)
+        traj = ni_decode(den, indicator, prompt, 16, NIConfig(base=base, eps_phi=0.9, k1=3, k2=4))
+        # the per-position loop the batch code replaced, drawing from the
+        # generator in the same order: base picks, then every other position
+        rng = np.random.default_rng(base.seed)
+        batches = iter(indicator.batches)
+        for out, step in zip(den.outs, traj.steps):
+            committed = dict(step)
+            picked = sorted(select_positions(out, base))
+            for pos in picked:
+                assert committed[pos - len(prompt)] == commit_token(out.row(pos), temperature, rng)
+            rest = [j for j, pos in enumerate(out.positions) if pos not in picked]
+            if not rest:
+                continue
+            features = next(batches)
+            assert len(features) == len(rest)
+            ranked = extract_features(out, rest, 3, 4)
+            for i, j in enumerate(rest):
+                pos = out.positions[j] - len(prompt)
+                tok = commit_token(out.dists[j], temperature, rng)
+                assert features.top_tokens[i, 0] == tok
+                assert features.top_logits[i, 0] == np.log(max(out.dists[j, tok], LOG_FLOOR))
+                # the gate fired on odd rows only
+                assert committed.get(pos) == (tok if i % 2 else None)
+            if temperature is None:
+                assert np.array_equal(features.top_tokens, ranked.top_tokens)
+                assert np.array_equal(features.top_logits, ranked.top_logits)
+            else:
+                # only the top-1 slots hold the sampled token
+                assert np.array_equal(features.top_tokens[:, 1:], ranked.top_tokens[:, 1:])
+                assert np.array_equal(features.top_logits[:, 1:], ranked.top_logits[:, 1:])
+            assert np.array_equal(features.hidden, ranked.hidden)
+        assert next(batches, None) is None
+        assert len(indicator.batches) >= 2
 
 
 class TestOracleIndicatorDecode:

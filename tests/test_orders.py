@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import permutation_chain, random_chain, sticky_chain
+from test_denoiser import distributions
 from maskorder.core import validate_partition
-from maskorder.denoiser import DenoiserOutput, MarkovDenoiser
+from maskorder.denoiser import LOG_FLOOR, DenoiserOutput, MarkovDenoiser
 from maskorder.orders import (
+    RULES,
     DecodeConfig,
     categorical_sample,
     decode,
-    position_score,
+    position_scores,
     select_positions,
 )
 
@@ -18,33 +21,55 @@ def output_for(rows):
     return DenoiserOutput(tuple(range(len(rows))), rows, np.zeros((len(rows), rows.shape[1] + 3)))
 
 
+def score_row(row, rule):
+    """Per-row reference for position_scores: the loop the batch code replaced."""
+    if rule == "prob":
+        return row.max()
+    if rule == "margin":
+        top2 = np.partition(row, -2)[-2:]
+        return top2[1] - top2[0]
+    return np.sum(row * np.log(np.maximum(row, LOG_FLOOR)))
+
+
 class TestPositionScore:
     def test_hand_computed(self):
-        row = np.array([0.7, 0.2, 0.1])
-        assert position_score(row, "prob") == pytest.approx(0.7)
-        assert position_score(row, "margin") == pytest.approx(0.5)
+        rows = np.array([[0.7, 0.2, 0.1]])
+        assert position_scores(rows, "prob")[0] == pytest.approx(0.7)
+        assert position_scores(rows, "margin")[0] == pytest.approx(0.5)
 
     def test_uniform_row(self):
-        row = np.full(5, 0.2)
-        assert position_score(row, "margin") == pytest.approx(0.0)
-        assert position_score(row, "negentropy") == pytest.approx(-np.log(5))
+        rows = np.full((1, 5), 0.2)
+        assert position_scores(rows, "margin")[0] == pytest.approx(0.0)
+        assert position_scores(rows, "negentropy")[0] == pytest.approx(-np.log(5))
 
     def test_delta_row(self):
-        row = np.array([0.0, 1.0, 0.0])
-        assert position_score(row, "prob") == 1.0
-        assert position_score(row, "margin") == 1.0
-        assert position_score(row, "negentropy") == pytest.approx(0.0, abs=1e-10)
+        rows = np.array([[0.0, 1.0, 0.0]])
+        assert position_scores(rows, "prob")[0] == 1.0
+        assert position_scores(rows, "margin")[0] == 1.0
+        assert position_scores(rows, "negentropy")[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_unnormalized_row_rejected(self):
         with pytest.raises(ValueError):
-            position_score(np.array([0.7, 0.7]), "prob")
+            position_scores(np.array([[0.7, 0.7]]), "prob")
+        # one bad row among good ones is enough
+        with pytest.raises(ValueError):
+            position_scores(np.array([[0.5, 0.5], [0.7, 0.7]]), "prob")
 
     def test_negentropy_argmax_is_the_minimum_entropy_position(self):
         rng = np.random.default_rng(0)
         rows = rng.dirichlet(np.ones(6), size=10)
-        scores = [position_score(r, "negentropy") for r in rows]
+        scores = position_scores(rows, "negentropy")
         entropies = [-(r * np.log(r)).sum() for r in rows]
         assert int(np.argmax(scores)) == int(np.argmin(entropies))
+
+    @settings(max_examples=60, deadline=None)
+    @given(distributions())
+    def test_equals_the_per_row_formula(self, rows):
+        for rule in RULES:
+            scores = [score_row(row, rule) for row in rows]
+            assert position_scores(rows, rule).tolist() == scores
+            # the full-step pick is the first best-scoring position
+            assert select_positions(output_for(rows), DecodeConfig(rule=rule)) == [scores.index(max(scores))]
 
 
 class TestSelectPositions:
