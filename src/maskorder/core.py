@@ -85,7 +85,12 @@ class MaskedSequence:
         return [i for i, t in enumerate(self.tokens) if t == mask]
 
     def reveal(self, assignments: Iterable) -> "MaskedSequence":
-        """Return a copy with generation-relative (pos, token) pairs filled in."""
+        """Return a copy with generation-relative (pos, token) pairs filled in.
+
+        Each assignment is validated here, so the copy skips __post_init__'s
+        pass over every token: the rest of the state was validated when self
+        was built.
+        """
         toks = list(self.tokens)
         for pos, tok in assignments:
             i = self.prompt_len + pos
@@ -96,7 +101,11 @@ class MaskedSequence:
             if not self.vocab.is_token(tok):
                 raise ValueError(f"token {tok} out of vocabulary")
             toks[i] = int(tok)
-        return MaskedSequence(tuple(toks), self.prompt_len, self.vocab)
+        revealed = object.__new__(MaskedSequence)
+        object.__setattr__(revealed, "tokens", tuple(toks))
+        object.__setattr__(revealed, "prompt_len", self.prompt_len)
+        object.__setattr__(revealed, "vocab", self.vocab)
+        return revealed
 
     @staticmethod
     def fully_masked(prompt: Sequence, gen_len: int, vocab: Vocabulary) -> "MaskedSequence":

@@ -1,9 +1,13 @@
 """Denoiser oracles: exact Markov-chain posteriors, tempering, and replay.
 
 The exact denoiser computes per-position posterior marginals over the
-vocabulary given all currently unmasked tokens, by forward-backward message
-passing along the chain. A temperature/noise wrapper simulates imperfect
-predictions, and a replay denoiser serves rows from a recorded log.
+vocabulary given all currently unmasked tokens, in closed form: under a
+first-order chain a masked position depends on the evidence only through its
+nearest observed neighbours, so every row is a product of two rows of cached
+transition powers T^k. Each MarkovModel caches T^k and pi*T^k for k below the
+longest sequence length L it has been queried with (L*V^2 floats, freed with
+the model). A temperature/noise wrapper simulates imperfect predictions, and
+a replay denoiser serves rows from a recorded log.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class MarkovModel:
         V = initial.shape[0]
         if transition.shape != (V, V):
             raise DenoiserError(f"transition must be {V}x{V}, got {transition.shape}")
+        if not (np.all(np.isfinite(initial)) and np.all(np.isfinite(transition))):
+            raise DenoiserError("probabilities must be finite")
         if np.any(initial < 0) or np.any(transition < 0):
             raise DenoiserError("probabilities must be nonnegative")
         if abs(initial.sum() - 1.0) > 1e-9:
@@ -60,10 +66,32 @@ class MarkovModel:
         rows = transition.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise DenoiserError("transition rows do not sum to 1")
+        object.__setattr__(self, "_powers", (np.empty((0, V, V)), np.empty((0, V))))
 
     @property
     def V(self) -> int:
         return self.initial.shape[0]
+
+    def transition_powers(self, n: int) -> tuple:
+        """(T^k as an (n, V, V) array, pi*T^k as (n, V)) for k = 0..n-1.
+
+        The powers are cached on the model and grown to the largest n asked
+        for, never beyond it, so the cache holds n*V^2 floats and is freed with
+        the model. Each power is the previous one times T, so the values do not
+        depend on the order of the requests. The arrays are read-only.
+        """
+        t_pows, pi_pows = self._powers
+        have = t_pows.shape[0]
+        if have < n:
+            t_pows, cached = np.empty((n, self.V, self.V)), t_pows
+            t_pows[:have] = cached
+            for k in range(have, n):
+                t_pows[k] = t_pows[k - 1] @ self.transition if k else np.eye(self.V)
+            pi_pows = self.initial @ t_pows
+            t_pows.flags.writeable = pi_pows.flags.writeable = False
+            # one assignment: a concurrent query sees either the old or the new pair
+            object.__setattr__(self, "_powers", (t_pows, pi_pows))
+        return t_pows[:n], pi_pows[:n]
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> tuple:
         toks = [int(rng.choice(self.V, p=self.initial))]
@@ -147,69 +175,63 @@ def state_hash(seq: MaskedSequence) -> str:
 def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     """Exact posterior marginals P(X_i | unmasked tokens) for all masked i.
 
-    Messages are rescaled at every position, so long sequences do not
-    underflow. Prompt tokens participate as ordinary observations.
+    Closed form: take a masked position i with nearest observed neighbours l
+    (token a) to its left and r (token b) to its right. Then
+
+        P(X_i = v | unmasked) is proportional to T^(i-l)[a, v] * T^(r-i)[v, b],
+
+    with (pi*T^i)[v] as the left factor when there is no left neighbour and 1
+    as the right factor when there is no right one. All rows come from one
+    gather over the model's cached powers (MarkovModel.transition_powers),
+    which hold L*V^2 floats for the longest length L queried. Prompt tokens
+    participate as ordinary observations. Evidence of zero probability raises
+    DenoiserError.
     """
-    masked = seq.masked_positions()
-    if not masked:
-        raise DenoiserError("sequence has no masked positions")
     V, L = model.V, len(seq)
-    if seq.vocab.size != V:
-        raise DenoiserError(f"vocabulary mismatch: model V={V}, sequence V={seq.vocab.size}")
-
-    evidence = np.ones((L, V))
-    for i, t in enumerate(seq.tokens):
-        if t != seq.vocab.mask_id:
-            evidence[i] = 0.0
-            evidence[i, t] = 1.0
-
-    T = model.transition
-    alpha = np.empty((L, V))
-    a = model.initial * evidence[0]
-    alpha[0] = a / a.sum()
-    for i in range(1, L):
-        a = (alpha[i - 1] @ T) * evidence[i]
-        s = a.sum()
-        if s <= 0.0:
-            raise DenoiserError("observed sequence has zero probability under the chain")
-        alpha[i] = a / s
-
-    beta = np.empty((L, V))
-    beta[L - 1] = 1.0
-    for i in range(L - 2, -1, -1):
-        b = T @ (beta[i + 1] * evidence[i + 1])
-        beta[i] = b / b.sum()
-
-    rows = np.empty((len(masked), V))
-    for j, i in enumerate(masked):
-        p = alpha[i] * beta[i]
-        rows[j] = p / p.sum()
-
-    features = _context_features(seq, masked, rows)
-    return DenoiserOutput(tuple(masked), rows, features)
-
-
-def _context_features(seq: MaskedSequence, masked, rows: np.ndarray) -> np.ndarray:
-    """Hidden-state stand-in: posterior row + positional context signals.
-
-    Layout is [row (V), left distance, right distance, masked fraction]; the
-    distances are to the nearest unmasked neighbor, normalized by sequence
-    length, and 1.0 when no such neighbor exists.
-    """
-    L = len(seq)
     tokens = np.asarray(seq.tokens)
     observed = tokens != seq.vocab.mask_id
-    idx = np.arange(L)
+    pos = np.flatnonzero(~observed)
+    if not pos.size:
+        raise DenoiserError("sequence has no masked positions")
+    if seq.vocab.size != V:
+        raise DenoiserError(f"vocabulary mismatch: model V={V}, sequence V={seq.vocab.size}")
+    t_pows, pi_pows = model.transition_powers(L)
+
+    # P(evidence) = (pi*T^o0)[t0] * prod T^(gap)[a, b] over consecutive observations
+    obs = np.flatnonzero(observed)
+    if obs.size and (
+        pi_pows[obs[0], tokens[obs[0]]] <= 0.0
+        or np.any(t_pows[np.diff(obs), tokens[obs[:-1]], tokens[obs[1:]]] <= 0.0)
+    ):
+        raise DenoiserError("observed sequence has zero probability under the chain")
 
     # running extrema give the nearest observed index on each side, with
     # sentinels (-1 / L) where no such neighbor exists
-    nearest_left = np.maximum.accumulate(np.where(observed, idx, -1))
-    nearest_right = np.minimum.accumulate(np.where(observed, idx, L)[::-1])[::-1]
+    idx = np.arange(L)
+    left = np.maximum.accumulate(np.where(observed, idx, -1))[pos]
+    right = np.minimum.accumulate(np.where(observed, idx, L)[::-1])[::-1][pos]
+    has_left, has_right = left >= 0, right < L
 
-    pos = np.asarray(masked)
-    dl = np.where(nearest_left[pos] >= 0, (pos - nearest_left[pos]) / L, 1.0)
-    dr = np.where(nearest_right[pos] < L, (nearest_right[pos] - pos) / L, 1.0)
-    masked_frac = np.full(len(pos), len(masked) / max(seq.gen_len, 1))
+    p = pi_pows[pos]
+    p[has_left] = t_pows[(pos - left)[has_left], tokens[left[has_left]]]
+    p[has_right] *= t_pows[(right - pos)[has_right], :, tokens[right[has_right]]]
+    rows = p / p.sum(axis=1, keepdims=True)
+
+    features = _context_features(rows, pos, left, right, L, seq.gen_len)
+    return DenoiserOutput(tuple(pos.tolist()), rows, features)
+
+
+def _context_features(rows: np.ndarray, pos, left, right, L: int, gen_len: int) -> np.ndarray:
+    """Hidden-state stand-in: posterior row + positional context signals.
+
+    Layout is [row (V), left distance, right distance, masked fraction]; the
+    distances are to the nearest unmasked neighbor (index left/right, -1/L
+    where there is none), normalized by sequence length, and 1.0 when no such
+    neighbor exists.
+    """
+    dl = np.where(left >= 0, (pos - left) / L, 1.0)
+    dr = np.where(right < L, (right - pos) / L, 1.0)
+    masked_frac = np.full(len(pos), len(pos) / max(gen_len, 1))
     return np.concatenate([rows, np.stack([dl, dr, masked_frac], axis=1)], axis=1)
 
 
@@ -255,7 +277,8 @@ def extract_features(out: DenoiserOutput, rows, k1: int, k2: int) -> FeatureBund
 class MarkovDenoiser:
     """Exact Bayes-posterior denoiser over a known Markov chain.
 
-    Read-only after construction; safe for concurrent queries.
+    Queries grow the model's cached transition powers and change nothing
+    else; concurrent queries get the same rows as serial ones.
     """
 
     def __init__(self, model: MarkovModel, config_id: str = "markov"):

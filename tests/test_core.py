@@ -48,6 +48,48 @@ class TestMaskedSequence:
         with pytest.raises(ValueError, match="already revealed"):
             seq.reveal([(0, 3)])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reveal_equals_direct_construction(self, data):
+        V = data.draw(st.integers(2, 6), label="V")
+        vocab = Vocabulary(V)
+        prompt = data.draw(st.lists(st.integers(0, V - 1), max_size=3), label="prompt")
+        gen_len = data.draw(st.integers(1, 8), label="gen_len")
+        order = data.draw(st.permutations(range(gen_len)), label="order")
+        as_numpy = data.draw(st.booleans(), label="numpy ints")
+        state = MaskedSequence.fully_masked(prompt, gen_len, vocab)
+        tokens = list(state.tokens)
+        i = 0
+        while i < gen_len:
+            size = data.draw(st.integers(1, gen_len - i))
+            step = [(pos, data.draw(st.integers(0, V - 1))) for pos in order[i : i + size]]
+            if as_numpy:
+                step = [(np.int64(pos), np.int64(tok)) for pos, tok in step]
+            state = state.reveal(step)
+            for pos, tok in step:
+                tokens[len(prompt) + pos] = int(tok)
+            direct = MaskedSequence(tuple(tokens), len(prompt), vocab)
+            assert state == direct
+            assert all(type(t) is int for t in state.tokens)
+            assert state.masked_positions() == direct.masked_positions()
+            i += size
+
+    @pytest.mark.parametrize(
+        "step, match",
+        [
+            ([(-1, 0)], "outside generation region"),
+            ([(3, 0)], "outside generation region"),
+            ([(0, 4)], "out of vocabulary"),
+            ([(0, -1)], "out of vocabulary"),
+            ([(1, 0), (1, 2)], "already revealed"),
+        ],
+    )
+    def test_reveal_rejects_bad_assignments(self, step, match):
+        seq = MaskedSequence.fully_masked((1,), 3, Vocabulary(4))
+        with pytest.raises(ValueError, match=match):
+            seq.reveal(step)
+        assert seq.tokens == (1, 4, 4, 4)
+
 
 class TestValidatePartition:
     def test_minimal_legal_partition(self):

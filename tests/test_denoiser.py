@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,58 @@ from maskorder.orders import DecodeConfig, decode
 M = 8  # mask id for V=8 cases
 
 
+def forward_backward_posterior(model: MarkovModel, seq: MaskedSequence) -> np.ndarray:
+    """Reference: the rescaled forward-backward loop the closed form replaced.
+
+    Returns one posterior row per masked position, in ascending order.
+    """
+    V, L = model.V, len(seq)
+    evidence = np.ones((L, V))
+    for i, t in enumerate(seq.tokens):
+        if t != seq.vocab.mask_id:
+            evidence[i] = 0.0
+            evidence[i, t] = 1.0
+    T = model.transition
+    alpha = np.empty((L, V))
+    a = model.initial * evidence[0]
+    alpha[0] = a / a.sum()
+    for i in range(1, L):
+        a = (alpha[i - 1] @ T) * evidence[i]
+        alpha[i] = a / a.sum()
+    beta = np.empty((L, V))
+    beta[L - 1] = 1.0
+    for i in range(L - 2, -1, -1):
+        b = T @ (beta[i + 1] * evidence[i + 1])
+        beta[i] = b / b.sum()
+    p = (alpha * beta)[seq.masked_positions()]
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def sparse_chain(V: int, rng: np.random.Generator) -> MarkovModel:
+    """Random chain with about half its entries exactly zero."""
+    T = rng.dirichlet(np.ones(V), size=V) * (rng.random((V, V)) < 0.5)
+    T[np.arange(V), rng.integers(0, V, size=V)] += 0.1  # every row keeps a nonzero
+    initial = rng.dirichlet(np.ones(V)) * (rng.random(V) < 0.5)
+    initial[rng.integers(0, V)] += 0.1
+    return MarkovModel(initial / initial.sum(), T / T.sum(axis=1, keepdims=True))
+
+
+CHAINS = {
+    "random": lambda V, rng: random_chain(V, rng),
+    "sticky": lambda V, rng: sticky_chain(V, 0.9),
+    "sparse": sparse_chain,
+    "permutation": lambda V, rng: permutation_chain(V),
+}
+
+
+def observed_masked_sequence(model, L, prompt_len, n_masked, rng) -> MaskedSequence:
+    """A chain sample of length L with n_masked generation positions masked."""
+    tokens = list(model.sample_sequence(L, rng))
+    for pos in rng.choice(np.arange(prompt_len, L), size=n_masked, replace=False):
+        tokens[pos] = model.V
+    return MaskedSequence(tuple(tokens), prompt_len, Vocabulary(model.V))
+
+
 class TestMarkovModel:
     def test_rejects_bad_row_sums(self):
         with pytest.raises(DenoiserError, match="sum"):
@@ -31,6 +86,23 @@ class TestMarkovModel:
     def test_rejects_negative_entries(self):
         with pytest.raises(DenoiserError):
             MarkovModel(np.array([1.1, -0.1]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["initial", "transition"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        d = sticky_chain(3, 0.8).to_dict()
+        if field == "initial":
+            d["initial"][1] = bad
+        else:
+            d["transition"][2][0] = bad
+        with pytest.raises(DenoiserError, match="finite"):
+            MarkovModel.from_dict(d)
+
+    def test_rejects_nan_in_a_config_file(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text('{"V": 2, "initial": [0.5, 0.5], "transition": [[NaN, 0.5], [0.5, 0.5]]}')
+        with pytest.raises(DenoiserError, match="finite"):
+            MarkovModel.load(path)
 
     def test_config_file_round_trip(self, tmp_path):
         model = sticky_chain(4, 0.9)
@@ -74,6 +146,80 @@ class TestMarkovPosterior:
         out = markov_posterior(model, seq)
         for pos, expected in brute_force_posterior(model, seq).items():
             np.testing.assert_allclose(out.row(pos), expected, atol=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chain=st.sampled_from(sorted(CHAINS)),
+        seed=st.integers(0, 2**32 - 1),
+        V=st.integers(2, 4),
+        L=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_matches_brute_force_on_every_chain_kind(self, chain, seed, V, L, data):
+        rng = np.random.default_rng(seed)
+        model = CHAINS[chain](V, rng)
+        prompt_len = data.draw(st.integers(0, L - 1), label="prompt_len")
+        n_masked = data.draw(st.integers(1, min(L - prompt_len, 6)), label="n_masked")
+        seq = observed_masked_sequence(model, L, prompt_len, n_masked, rng)
+        out = markov_posterior(model, seq)
+        expected = brute_force_posterior(model, seq)
+        assert out.positions == tuple(expected)
+        assert np.max(np.abs(out.dists - np.stack(list(expected.values())))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "chain, V, L",
+        [("random", 64, 600), ("random", 32, 264), ("sticky", 16, 600), ("sparse", 8, 500), ("random", 2, 600)],
+    )
+    def test_matches_forward_backward_at_long_lengths(self, chain, V, L):
+        rng = np.random.default_rng(V * L)
+        model = CHAINS[chain](V, rng)
+        for prompt_len, n_masked in ((0, L), (8, L - 8), (8, L // 2), (0, 3)):
+            seq = observed_masked_sequence(model, L, prompt_len, n_masked, rng)
+            rows = markov_posterior(model, seq).dists
+            assert np.max(np.abs(rows - forward_backward_posterior(model, seq))) < 1e-12
+
+    def test_zero_probability_evidence_in_the_middle(self):
+        model = permutation_chain(3)  # 0 -> 1 -> 2 -> 0
+        vocab = Vocabulary(3)
+        for tokens in ((0, 3, 0), (0, 3, 3, 2), (1, 0, 3), (0, 1, 3, 3, 0)):
+            with pytest.raises(DenoiserError, match="zero probability"):
+                markov_posterior(model, MaskedSequence(tokens, 0, vocab))
+
+    def test_zero_probability_first_token(self):
+        model = MarkovModel([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
+        vocab = Vocabulary(2)
+        for tokens, prompt_len in (((1, 2), 1), ((1, 2, 2), 0)):
+            with pytest.raises(DenoiserError, match="zero probability"):
+                markov_posterior(model, MaskedSequence(tokens, prompt_len, vocab))
+        # the first observation is not at position 0: token 1 is unreachable from 0
+        absorbing = MarkovModel([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(DenoiserError, match="zero probability"):
+            markov_posterior(absorbing, MaskedSequence((2, 1, 2), 0, vocab))
+        # under the first chain token 1 is reachable after the first position
+        out = markov_posterior(model, MaskedSequence((2, 1, 2), 0, vocab))
+        np.testing.assert_allclose(out.dists, [[1.0, 0.0], [0.5, 0.5]])
+
+    def test_cache_holds_as_many_powers_as_the_longest_query(self):
+        model = random_chain(5, np.random.default_rng(0))
+        den = MarkovDenoiser(model)
+        for L, longest in ((10, 10), (50, 50), (30, 50), (51, 51)):
+            den.query(MaskedSequence.fully_masked((1,), L - 1, den.vocab))
+            t_pows, pi_pows = model._powers
+            assert t_pows.shape == (longest, 5, 5) and pi_pows.shape == (longest, 5)
+        for k in (0, 1, 7, 50):
+            np.testing.assert_allclose(t_pows[k], np.linalg.matrix_power(model.transition, k), atol=1e-14)
+            np.testing.assert_allclose(pi_pows[k], model.initial @ t_pows[k], atol=1e-14)
+        assert not t_pows.flags.writeable and not pi_pows.flags.writeable
+
+    def test_cache_is_freed_with_the_model(self):
+        model = random_chain(5, np.random.default_rng(0))
+        den = TemperedDenoiser(MarkovDenoiser(model), temperature=2.0)
+        out = den.query(MaskedSequence.fully_masked((1,), 40, den.vocab))
+        ref = weakref.ref(model)
+        del model, den
+        gc.collect()
+        assert ref() is None
+        assert np.all(np.isfinite(out.dists))
 
     def test_no_masked_positions_is_an_error(self):
         with pytest.raises(DenoiserError, match="no masked"):
