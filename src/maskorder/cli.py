@@ -1,9 +1,9 @@
 """Command-line interface tying the pipeline together.
 
 Subcommands: gen-data, label, train, sample, analyze-merge, sweep, replay,
-self-bleu. A JSON file passed via --config supplies defaults for any long
-option of the chosen subcommand (command-line flags win). Decoding is random
-(categorical sampling) exactly when --temperature is given.
+self-bleu. A JSON object passed via --config supplies checked defaults for
+any long option of the chosen subcommand (command-line flags win). Decoding
+is random (categorical sampling) exactly when --temperature is given.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .core import SampleRecord, Vocabulary, load_records, save_records
+from .core import SampleRecord, Vocabulary, final_tokens, load_records, save_records
 from .denoiser import MarkovDenoiser, MarkovModel, ReplayDenoiser, TemperedDenoiser
 from .indicator import (
     IndicatorConfig,
@@ -212,16 +212,14 @@ def cmd_replay(args):
 
 
 def cmd_self_bleu(args):
-    from .core import final_tokens
-
     records = load_records(args.traj)
     samples = [final_tokens(r.trajectory) for r in records]
     value = harness.self_bleu(samples, n_gram=args.n)
     print(f"self-bleu-{args.n}: {value:.6f}")
 
 
-def build_parser(config=None):
-    """The CLI parser; config maps long option names to subcommand defaults."""
+def build_parser():
+    """The CLI parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(prog="maskorder")
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,12 +317,42 @@ def build_parser(config=None):
     p.add_argument("--traj", required=True)
     p.add_argument("--n", type=int, choices=[1, 2], default=1)
     p.set_defaults(func=cmd_self_bleu)
-
-    defaults = {key.replace("-", "_"): value for key, value in (config or {}).items()}
-    for p in sub.choices.values():
-        options = {a.dest for a in p._actions if a.option_strings}
-        p.set_defaults(**{dest: value for dest, value in defaults.items() if dest in options})
     return parser
+
+
+def _config_value(action, value):
+    """A --config value converted and checked as if it were given as the flag."""
+    if action.nargs == 0:  # store_true
+        if type(value) is not bool:
+            raise ValueError("expected true or false")
+        return value
+    if not (isinstance(value, str) or (action.type and type(value) in (int, float))):
+        raise ValueError("expected a string" + (" or a number" if action.type else ""))
+    value = (action.type or str)(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {list(action.choices)}")
+    return value
+
+
+def _apply_config(parser, command: str, path) -> None:
+    """Make the JSON object in `path` defaults of the chosen subcommand; keys
+    that are not its options are ignored, a bad value is a usage error."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"--config {path}: expected a JSON object, got {type(config).__name__}")
+    values = {key.replace("-", "_"): value for key, value in config.items()}
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    for action in sub._actions:
+        if action.option_strings and action.dest in values:
+            value = values[action.dest]
+            try:
+                sub.set_defaults(**{action.dest: _config_value(action, value)})
+            except ValueError as exc:
+                parser.error(f"--config {path}: invalid value {value!r} for {action.option_strings[-1]} ({exc})")
 
 
 def _check(parser, args) -> None:
@@ -344,8 +372,7 @@ def main(argv=None):
     if args.config:
         # parse again with the file's values as subcommand defaults, so that
         # every flag given on the command line, abbreviated or not, wins
-        with open(args.config) as fh:
-            parser = build_parser(json.load(fh))
+        _apply_config(parser, args.command, args.config)
         args = parser.parse_args(argv)
     _check(parser, args)
     args.func(args)

@@ -9,8 +9,11 @@ applied only when materializing concrete sequences.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Vocabulary",
@@ -23,6 +26,8 @@ __all__ = [
     "final_tokens",
     "load_records",
     "save_records",
+    "load_archive",
+    "save_archive",
 ]
 
 
@@ -136,11 +141,6 @@ class Trajectory:
     def n(self) -> int:
         return len(self.steps)
 
-    def positions(self) -> Iterator[int]:
-        for step in self.steps:
-            for pos, _ in step:
-                yield pos
-
 
 @dataclass
 class ValidationReport:
@@ -195,18 +195,12 @@ def apply_steps(base: MaskedSequence, traj: Trajectory, k: int) -> MaskedSequenc
     """
     if not 1 <= k <= traj.n + 1:
         raise ValueError(f"step index {k} out of range 1..{traj.n + 1}")
-    state = base
-    for step in traj.steps[: k - 1]:
-        state = state.reveal(sorted(step))
-    return state
+    return base.reveal(pair for step in traj.steps[: k - 1] for pair in step)
 
 
 def final_tokens(traj: Trajectory) -> list:
     """Map each generation position to its committed token."""
-    pairs = {}
-    for step in traj.steps:
-        for pos, tok in step:
-            pairs[pos] = tok
+    pairs = dict(pair for step in traj.steps for pair in step)
     n = len(pairs)
     report = validate_partition(traj, range(n))
     if not report.ok:
@@ -286,3 +280,40 @@ def save_records(records: Iterable[SampleRecord], path) -> None:
 def load_records(path) -> list:
     with open(path) as fh:
         return [SampleRecord.from_json(line) for line in fh if line.strip()]
+
+
+def save_archive(path, arrays: dict, meta: dict) -> None:
+    """Write `arrays` as an uncompressed .npz at exactly `path` and `meta` as
+    JSON to `<path>.meta.json`."""
+    with open(path, "wb") as fh:  # a file handle keeps numpy from appending ".npz"
+        np.savez(fh, **arrays)
+    with open(f"{path}.meta.json", "w") as fh:
+        json.dump(meta, fh)
+
+
+def load_archive(path) -> tuple:
+    """(arrays, meta) of an archive; ValueError naming the path when the file
+    is not an intact .npz (the zip CRC-32 catches a changed byte) or the meta
+    file is missing or not a JSON object. Loads no pickles."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("bad magic")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        if not all(isinstance(a, np.ndarray) for a in arrays.values()):
+            raise ValueError("a member is not an .npy array")
+    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an intact .npz archive ({exc})") from None
+    meta_path = f"{path}.meta.json"
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: meta file {meta_path} is missing") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: not a JSON meta file ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: holds a JSON {type(meta).__name__}, not an object")
+    return arrays, meta

@@ -148,10 +148,6 @@ class DenoiserOutput:
     def row(self, pos: int) -> np.ndarray:
         return self.dists[self.index_of(pos)]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class FeatureBundle:
@@ -281,11 +277,11 @@ class MarkovDenoiser:
     else; concurrent queries get the same rows as serial ones.
     """
 
-    def __init__(self, model: MarkovModel, config_id: str = "markov"):
+    def __init__(self, model: MarkovModel):
         self.model = model
         self.vocab = Vocabulary(model.V)
         self.feature_dim = model.V + 3
-        self.config_id = config_id
+        self.config_id = "markov"
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         return markov_posterior(self.model, seq)

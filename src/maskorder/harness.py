@@ -128,14 +128,15 @@ def sweep(
 ) -> tuple:
     """Threshold grid plus indicator grid against a shared full-step reference.
 
-    Every run decodes the same `count` prompts through gen_data. Returns
-    (rows, dominance summary). Deterministic given the seed unless timings
-    are enabled.
+    Every run decodes the same `count` prompts through gen_data, NI runs with
+    the indicator's K1/K2. Returns (rows, dominance summary). Deterministic
+    given the seed unless timings are enabled.
     """
+    k1, k2 = indicator.config.k1, indicator.config.k2
     reference = gen_data(denoiser, model, prompt_len, gen_len, count, DecodeConfig(), seed)
     runs = [("threshold", eps, DecodeConfig(threshold=eps), None) for eps in THRESHOLD_GRID]
     runs += [
-        ("ni", eps_phi, None, NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=eps_phi))
+        ("ni", eps_phi, None, NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=eps_phi, k1=k1, k2=k2))
         for eps_phi in INDICATOR_GRID
     ]
     rows = []

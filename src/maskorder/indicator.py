@@ -9,13 +9,11 @@ bit-reproducible and the gradients can be checked against finite differences.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"MOIND\x01\n"
+from .core import load_archive, save_archive
 
 __all__ = [
     "IndicatorConfig",
@@ -102,11 +100,11 @@ class IndicatorModel:
         self.params = params
         shapes = _param_shapes(config)
         if set(params) != set(shapes):
-            raise ValueError("parameter set does not match configuration")
+            missing, extra = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+            raise ValueError(f"parameter set does not match configuration: missing {missing}, extra {extra}")
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise ValueError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
-        self.param_order = list(shapes)
 
     @staticmethod
     def init(config: IndicatorConfig, rng: np.random.Generator) -> "IndicatorModel":
@@ -330,67 +328,29 @@ def train(model: IndicatorModel, dataset, hyper: TrainHyper, rng: np.random.Gene
 
 
 def save_checkpoint(model: IndicatorModel, path) -> None:
-    """Magic, version, JSON config block, then flat float64 LE arrays in order."""
-    cfg = model.config
-    header = json.dumps(
-        {
-            "vocab_size": cfg.vocab_size,
-            "k1": cfg.k1,
-            "k2": cfg.k2,
-            "feature_dim": cfg.feature_dim,
-            "emb_dim": cfg.emb_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "depth": cfg.depth,
-            "param_order": model.param_order,
-        }
-    ).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for name in model.param_order:
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+    """Write the parameters as an archive at exactly `path`, with the
+    IndicatorConfig as its meta (core.save_archive)."""
+    save_archive(path, model.params, asdict(model.config))
 
 
 def load_checkpoint(path, expected_vocab_size=None) -> IndicatorModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("not an indicator checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    if len(data) < offset + 4:
-        raise CheckpointError("truncated checkpoint header")
-    (hlen,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if len(data) < offset + hlen:
-        raise CheckpointError("truncated checkpoint header")
-    header = json.loads(data[offset : offset + hlen])
-    offset += hlen
-    cfg = IndicatorConfig(
-        vocab_size=header["vocab_size"],
-        k1=header["k1"],
-        k2=header["k2"],
-        feature_dim=header["feature_dim"],
-        emb_dim=header["emb_dim"],
-        hidden_dim=header["hidden_dim"],
-        depth=header["depth"],
-    )
-    if expected_vocab_size is not None and cfg.vocab_size != expected_vocab_size:
-        raise CheckpointError(
-            f"checkpoint vocabulary size {cfg.vocab_size} does not match "
-            f"expected {expected_vocab_size}"
-        )
-    shapes = _param_shapes(cfg)
-    if header["param_order"] != list(shapes):
-        raise CheckpointError("checkpoint parameter order does not match configuration")
-    params = {}
-    for name in header["param_order"]:
-        shape = shapes[name]
-        nbytes = int(np.prod(shape)) * 8
-        if len(data) < offset + nbytes:
-            raise CheckpointError(f"truncated checkpoint while reading {name}")
-        params[name] = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(data):
-        raise CheckpointError("trailing bytes after last parameter array")
-    return IndicatorModel(cfg, params)
+    """Read a checkpoint; CheckpointError naming the path when load_archive
+    fails, the meta is not an IndicatorConfig of ints, or the parameters
+    (names, shapes, float64) or expected_vocab_size disagree with it."""
+    try:
+        params, meta = load_archive(path)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
+    names = [f.name for f in fields(IndicatorConfig)]
+    if sorted(meta) != sorted(names) or any(type(v) is not int for v in meta.values()):
+        raise CheckpointError(f"{path}.meta.json: expected integer values for exactly {names}, got {meta}")
+    try:
+        cfg = IndicatorConfig(**meta)
+        if expected_vocab_size not in (None, cfg.vocab_size):
+            raise ValueError(f"vocabulary size {cfg.vocab_size} does not match expected {expected_vocab_size}")
+        wrong = [name for name, a in params.items() if a.dtype != np.float64]
+        if wrong:
+            raise ValueError(f"parameters {wrong} are not float64")
+        return IndicatorModel(cfg, params)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -6,20 +6,18 @@ starting at k, otherwise 0. Positives whose top-1 probability falls below
 min_pos_prob are relabeled negative; the filter touches labels only, never
 the extracted features.
 
-A dataset file is an .npz archive with one array per LabeledExample field,
-one row per example; the shared config (K1, K2, F, V, ...) goes to
-`<path>.meta.json`.
+A dataset file is an archive (core.save_archive) with one array per
+LabeledExample field, one row per example; the shared config (K1, K2, F, V,
+...) is its meta, in `<path>.meta.json`.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleRecord, apply_steps
+from .core import SampleRecord, apply_steps, load_archive, save_archive
 from .denoiser import extract_features
 from .merge import count_mergeable
 
@@ -146,39 +144,26 @@ _COLUMNS = {
 
 
 def save_dataset(ds: DatasetFile, path) -> None:
-    """Write one array per field as an .npz at exactly `path`; the shared
-    config goes to `<path>.meta.json`."""
+    """Write one array per field as an archive at exactly `path`, with the
+    shared config as its meta (core.save_archive)."""
     arrays = {name: np.asarray([getattr(ex, name) for ex in ds.examples]) for name in _COLUMNS}
-    with open(path, "wb") as fh:  # a file handle keeps numpy from appending ".npz"
-        np.savez(fh, **arrays)
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(ds.config, fh)
+    save_archive(path, arrays, ds.config)
 
 
 def load_dataset(path) -> DatasetFile:
     """Read a dataset written by save_dataset and check it against its meta file.
 
-    Raises ValueError, naming the path, when the file is not a dataset archive,
-    when its column widths disagree with K1/K2/F or its columns with each
-    other, or when a token id lies outside [0, V) or a label outside {0, 1}.
+    Raises ValueError naming the path when load_archive does, K1/K2/F/V are
+    not positive integers, the arrays are not exactly the columns, a shape
+    disagrees, or a token id lies outside [0, V) or a label outside {0, 1}.
     """
-    try:
-        with open(str(path) + ".meta.json") as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: dataset meta file {path}.meta.json is missing") from None
-    missing = [key for key in ("K1", "K2", "F", "V") if key not in config]
-    if missing:
-        raise ValueError(f"{path}.meta.json lacks {', '.join(missing)}")
-    try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise ValueError("a single array")
-        with npz:
-            arrays = {name: npz[name] for name in _COLUMNS}
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a dataset .npz archive ({exc})") from None
-    n = len(arrays["label"])
+    arrays, config = load_archive(path)
+    bad = [key for key in ("K1", "K2", "F", "V") if type(config.get(key)) is not int or config[key] < 1]
+    if bad:
+        raise ValueError(f"{path}.meta.json lacks {', '.join(bad)} as positive integers")
+    if set(arrays) != set(_COLUMNS):
+        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(_COLUMNS)}")
+    n = arrays["label"].size
     for name, (kind, width) in _COLUMNS.items():
         a = arrays[name]
         shape = (n,) if width is None else (n, config[width])
@@ -192,5 +177,5 @@ def load_dataset(path) -> DatasetFile:
         raise ValueError(f"{path}: token ids must lie in [0, {config['V']})")
     if not np.all((arrays["label"] == 0) | (arrays["label"] == 1)):
         raise ValueError(f"{path}: labels must be 0 or 1")
-    columns = [a if _COLUMNS[name][1] else a.tolist() for name, a in arrays.items()]
+    columns = [arrays[name] if width else arrays[name].tolist() for name, (_, width) in _COLUMNS.items()]
     return DatasetFile([LabeledExample(*values) for values in zip(*columns)], config)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import MaskedSequence, Trajectory, final_tokens
 from .orders import run_steps
 
@@ -30,9 +28,7 @@ class MergeReport:
 
 
 def _check_state(traj: Trajectory, k: int, state_k: MaskedSequence) -> None:
-    revealed = {}
-    for step in traj.steps[: k - 1]:
-        revealed.update(dict(step))
+    revealed = dict(pair for step in traj.steps[: k - 1] for pair in step)
     mask = state_k.vocab.mask_id
     for pos in range(state_k.gen_len):
         actual = state_k.tokens[state_k.prompt_len + pos]
@@ -56,10 +52,10 @@ def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, denoiser,
     if out is None:
         out = denoiser.query(state_k)
     P = state_k.prompt_len
+    predicted = dict(zip(out.positions, out.dists.argmax(axis=1).tolist()))
     for idx in range(k + 1, traj.n + 1):
-        for pos, tok in traj.steps[idx - 1]:
-            if int(np.argmax(out.row(P + pos))) != tok:
-                return idx
+        if any(predicted[P + pos] != tok for pos, tok in traj.steps[idx - 1]):
+            return idx
     return traj.n + 1
 
 
@@ -101,10 +97,12 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     P = base.prompt_len
 
     def choose(out, state):
-        masked = [p - P for p in state.masked_positions()]
-        chosen = [pos for pos in masked if int(np.argmax(out.row(P + pos))) == finals[pos]]
+        masked = [p - P for p in out.positions]
+        predicted = out.dists.argmax(axis=1).tolist()
+        chosen = [pos for pos, tok in zip(masked, predicted) if tok == finals[pos]]
         if not chosen:
-            chosen = [next(pos for pos in ref_order if pos in set(masked))]
+            masked = set(masked)
+            chosen = [next(pos for pos in ref_order if pos in masked)]
         return {pos: finals[pos] for pos in chosen}
 
     frp_traj = Trajectory(

@@ -68,7 +68,8 @@ def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
     Full-step mode picks the single best-scoring position. Threshold mode
     picks every position whose top-1 probability is >= the threshold, falling
     back to the single best-scoring position so that progress is guaranteed.
-    Ties in score break toward the lowest position.
+    Ties go to the lowest position only when scores are bitwise equal; scores
+    equal in exact arithmetic can differ by rounding (~1e-16) instead.
     """
     if not out.positions:
         raise ValueError("no masked positions to select from")

@@ -192,6 +192,112 @@ class TestConfigDefaults:
             run("frobnicate")
 
 
+class TestConfigValidation:
+    """--config values pass the same type and choices checks as flags."""
+
+    def _gen_data(self, capsys, tmp_path, chain_file, config_text):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(config_text)
+        err = _usage_error(
+            capsys, "--config", str(cfg), "gen-data", "--denoiser", chain_file, "--count", "1",
+            "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert not (tmp_path / "a.jsonl").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"sampler": "bogus"}, "sampler"),
+            ({"rule": "entropy"}, "rule"),
+            ({"count": 1.5}, "count"),
+            ({"gen-len": "ten"}, "gen-len"),
+            ({"seed": True}, "seed"),
+            ({"epsilon": [0.5]}, "epsilon"),
+            ({"out": 5}, "out"),
+            ({"temperature": None}, "temperature"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, chain_file, capsys, config, key):
+        err = self._gen_data(capsys, tmp_path, chain_file, json.dumps(config))
+        assert f"invalid value {next(iter(config.values()))!r} for --{key}" in err
+        assert "defaults.json" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"epsilon"', '{"epsilon": 0.5', ""])
+    def test_file_that_is_not_a_json_object_names_the_file(self, tmp_path, chain_file, capsys, text):
+        err = self._gen_data(capsys, tmp_path, chain_file, text)
+        assert "--config" in err and "defaults.json" in err
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, chain_file, capsys):
+        err = _usage_error(
+            capsys, "--config", str(tmp_path / "none.json"), "gen-data", "--denoiser", chain_file,
+            "--count", "1", "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "none.json" in err
+
+    def test_fractional_epochs_are_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"epochs": 1.5}))
+        err = _usage_error(capsys, "--config", str(cfg), "train", "--data", "d.npz", "--out", "c.ckpt")
+        assert "invalid value 1.5 for --epochs" in err
+
+    def test_store_true_option_needs_a_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"strict": "yes"}))
+        err = _usage_error(
+            capsys, "--config", str(cfg), "replay", "--log", "l", "--traj", "t", "--vocab-size", "4"
+        )
+        assert "invalid value 'yes' for --strict" in err
+
+    def test_values_are_converted_like_flags(self, tmp_path, chain_file):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"gen_len": "10", "epsilon": 1, "sampler": "full"}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run("--config", str(cfg), "gen-data", "--denoiser", chain_file, "--count", "2", "--out", str(a))
+        run(
+            "gen-data", "--denoiser", chain_file, "--count", "2", "--gen-len", "10", "--epsilon", "1.0",
+            "--sampler", "full", "--out", str(b),
+        )
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_a_value_is_checked_only_against_the_chosen_subcommand(self, tmp_path, chain_file):
+        # "ni" is a sampler of `sample` (not of `gen-data`), and `timings` is
+        # an option of `sweep` only, so neither value is checked here
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"sampler": "ni", "timings": "no"}))
+        out = tmp_path / "a.jsonl"
+        run(
+            "--config", str(cfg), "sample", "--denoiser", chain_file, "--sampler", "full",
+            "--count", "1", "--gen-len", "4", "--out", str(out),
+        )
+        assert len(load_records(out)) == 1
+
+
+class TestSweepCommand:
+    def test_sweep_uses_the_k1_k2_of_the_checkpoint(self, tmp_path, chain_file):
+        traj, data, ckpt = (tmp_path / name for name in ("t.jsonl", "d.npz", "c.ckpt"))
+        run(
+            "gen-data", "--denoiser", chain_file, "--count", "2", "--prompt-len", "2",
+            "--gen-len", "6", "--out", str(traj),
+        )
+        run(
+            "label", "--denoiser", chain_file, "--traj", str(traj), "--cuts", "2",
+            "--k1", "2", "--k2", "3", "--out", str(data),
+        )
+        run(
+            "train", "--data", str(data), "--epochs", "1", "--emb-dim", "4", "--hidden-dim", "6",
+            "--depth", "1", "--out", str(ckpt),
+        )
+        cfg = load_checkpoint(ckpt).config
+        assert (cfg.k1, cfg.k2) == (2, 3)
+        sweep_csv, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
+        run(
+            "sweep", "--denoiser", chain_file, "--ckpt", str(ckpt), "--count", "2",
+            "--prompt-len", "2", "--gen-len", "6", "--out", str(sweep_csv), "--summary", str(summary),
+        )
+        assert len(sweep_csv.read_text().splitlines()) == 1 + 7 + 8
+
+
 def _usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)

@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from maskorder.core import (
     Vocabulary,
     apply_steps,
     final_tokens,
+    load_archive,
     load_records,
+    save_archive,
     save_records,
     validate_partition,
 )
@@ -132,6 +135,12 @@ class TestApplySteps:
             with pytest.raises(ValueError):
                 apply_steps(self.base, self.traj, k)
 
+    def test_prefix_revealing_a_position_twice_is_rejected(self):
+        bad = traj({(0, 2)}, {(0, 5)}, {(1, 1)})
+        assert apply_steps(self.base, bad, 2).tokens[2] == 2
+        with pytest.raises(ValueError, match="position 0 already revealed"):
+            apply_steps(self.base, bad, 3)
+
 
 class TestFinalTokens:
     def test_one_step(self):
@@ -225,3 +234,87 @@ class TestRecordValidation:
         path.write_text(self._line() + "\n" + self._line(id="r8", steps=d["steps"][:-1]) + "\n")
         with pytest.raises(ValueError, match="record 'r8'"):
             load_records(path)
+
+
+class TestArchive:
+    ARRAYS = {"a": np.arange(6, dtype=np.int64).reshape(2, 3), "b": np.array([0.5, -1.25]), "c": np.array(["x", "yz"])}
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "thing.bin"
+        save_archive(path, self.ARRAYS, {"K": 3, "name": "t"})
+        return path
+
+    def test_round_trip_at_exactly_the_given_path(self, saved):
+        assert sorted(p.name for p in saved.parent.iterdir()) == ["thing.bin", "thing.bin.meta.json"]
+        arrays, meta = load_archive(saved)
+        assert meta == {"K": 3, "name": "t"}
+        assert list(arrays) == list(self.ARRAYS)
+        for name, a in self.ARRAYS.items():
+            assert arrays[name].dtype == a.dtype
+            np.testing.assert_array_equal(arrays[name], a)
+
+    def test_output_is_byte_stable(self, saved):
+        first = saved.read_bytes()
+        save_archive(saved, self.ARRAYS, {"K": 3, "name": "t"})
+        assert saved.read_bytes() == first
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValueError, match=r"nothing\.npz: not an intact \.npz archive"):
+            load_archive(tmp_path / "nothing.npz")
+
+    def test_not_a_zip_archive(self, saved):
+        saved.write_text("{}\n")
+        with pytest.raises(ValueError, match=r"thing\.bin: not an intact \.npz archive \(bad magic\)"):
+            load_archive(saved)
+
+    def test_single_npy_array_is_not_an_archive(self, saved):
+        with open(saved, "wb") as fh:
+            np.save(fh, np.arange(3))
+        with pytest.raises(ValueError, match="bad magic"):
+            load_archive(saved)
+
+    def test_truncated_archive(self, saved):
+        blob = saved.read_bytes()
+        for cut in (4, len(blob) // 2, len(blob) - 8):
+            saved.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=r"thing\.bin: not an intact"):
+                load_archive(saved)
+
+    def test_flipped_byte_fails_the_crc(self, saved):
+        blob = bytearray(saved.read_bytes())
+        at = blob.find(self.ARRAYS["b"].tobytes())
+        assert at > 0
+        blob[at + 3] ^= 0x40
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"thing\.bin: not an intact.*CRC"):
+            load_archive(saved)
+
+    def test_member_that_is_not_an_npy_array(self, saved):
+        with zipfile.ZipFile(saved, "w") as zf:
+            zf.writestr("notes.txt", "hello")
+        with pytest.raises(ValueError, match="not an .npy array"):
+            load_archive(saved)
+
+    def test_pickled_member_is_refused(self, saved):
+        with open(saved, "wb") as fh:
+            np.savez(fh, a=np.array([{"x": 1}], dtype=object))
+        with pytest.raises(ValueError, match=r"thing\.bin: not an intact"):
+            load_archive(saved)
+
+    def test_missing_meta_file(self, saved):
+        (saved.parent / "thing.bin.meta.json").unlink()
+        with pytest.raises(ValueError, match=r"thing\.bin: meta file .*thing\.bin\.meta\.json is missing"):
+            load_archive(saved)
+
+    @pytest.mark.parametrize("text", ["{K: 3", "", "\xff"])
+    def test_meta_file_that_is_not_json(self, saved, text):
+        (saved.parent / "thing.bin.meta.json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=r"thing\.bin\.meta\.json: not a JSON meta file"):
+            load_archive(saved)
+
+    @pytest.mark.parametrize("value", [5, [1, 2], "K", None])
+    def test_meta_that_is_not_an_object(self, saved, value):
+        (saved.parent / "thing.bin.meta.json").write_text(json.dumps(value))
+        with pytest.raises(ValueError, match=r"thing\.bin\.meta\.json: holds a JSON \w+, not an object"):
+            load_archive(saved)

@@ -14,7 +14,7 @@ from maskorder.harness import (
     sweep,
     write_sweep_csv,
 )
-from maskorder.ni_sampler import ConstantIndicator
+from maskorder.indicator import IndicatorConfig, IndicatorModel
 from maskorder.orders import DecodeConfig
 
 
@@ -104,7 +104,11 @@ class TestSweep:
     def _run(self, timings=False):
         model = sticky_chain(8, 0.85)
         den = MarkovDenoiser(model)
-        return sweep(den, model, ConstantIndicator(0.5), 2, 8, 3, seed=0, timings=timings)
+        # K1/K2 differ from NIConfig's defaults, so the NI rows must take them
+        # from the checkpoint; the zero head scores every position exactly 0.5
+        cfg = IndicatorConfig(vocab_size=8, k1=2, k2=3, feature_dim=den.feature_dim, hidden_dim=9, depth=1)
+        indicator = IndicatorModel.init(cfg, np.random.default_rng(0))
+        return sweep(den, model, indicator, 2, 8, 3, seed=0, timings=timings)
 
     def test_row_layout(self):
         rows, summary = self._run()

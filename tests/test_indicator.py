@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,27 @@ class TestCheckpoints:
         rng = np.random.default_rng(0)
         return randomized_head(IndicatorModel.init(SMALL, rng), rng)
 
+    def _saved(self, tmp_path):
+        path = tmp_path / "ind.ckpt"
+        save_checkpoint(self._model(), path)
+        return path
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Replace the checkpoint's parameter arrays with edit(dict of arrays)."""
+        with np.load(path) as npz:
+            params = dict(npz)
+        with open(path, "wb") as fh:
+            np.savez(fh, **edit(params))
+
+    @staticmethod
+    def rewrite_meta(path, edit):
+        meta_path = f"{path}.meta.json"
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        with open(meta_path, "w") as fh:
+            json.dump(edit(meta), fh)
+
     def test_bitwise_round_trip(self, tmp_path):
         model = self._model()
         path = tmp_path / "ind.ckpt"
@@ -224,6 +248,11 @@ class TestCheckpoints:
         assert loaded.config == model.config
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
+
+    def test_writes_the_archive_and_the_config_as_its_meta(self, tmp_path):
+        path = self._saved(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ind.ckpt", "ind.ckpt.meta.json"]
+        assert json.loads((tmp_path / "ind.ckpt.meta.json").read_text()) == asdict(SMALL)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -238,15 +267,87 @@ class TestCheckpoints:
         blob = path.read_bytes()
         for cut in (len(blob) // 2, len(blob) - 8):
             path.write_bytes(blob[:cut])
-            with pytest.raises(CheckpointError, match="truncated"):
+            with pytest.raises(CheckpointError, match=r"ind\.ckpt: not an intact \.npz archive"):
                 load_checkpoint(path)
 
-    def test_trailing_garbage(self, tmp_path):
+    def test_flipped_byte_inside_a_parameter(self, tmp_path):
         model = self._model()
         path = tmp_path / "ind.ckpt"
         save_checkpoint(model, path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="trailing"):
+        blob = bytearray(path.read_bytes())
+        at = blob.find(model.params["w_head"].tobytes())
+        assert at > 0
+        blob[at + 5] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: .*CRC"):
+            load_checkpoint(path)
+
+    def test_extra_array(self, tmp_path):
+        path = self._saved(tmp_path)
+        self.rewrite(path, lambda p: {**p, "w_extra": np.zeros(3)})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: .*extra \['w_extra'\]"):
+            load_checkpoint(path)
+
+    def test_missing_array(self, tmp_path):
+        path = self._saved(tmp_path)
+        self.rewrite(path, lambda p: {k: v for k, v in p.items() if k != "b_head"})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: .*missing \['b_head'\]"):
+            load_checkpoint(path)
+
+    def test_wrong_shape(self, tmp_path):
+        path = self._saved(tmp_path)
+        self.rewrite(path, lambda p: {**p, "w_head": p["w_head"][:-1]})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameter w_head has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, ">f8"])
+    def test_parameter_that_is_not_float64(self, tmp_path, dtype):
+        path = self._saved(tmp_path)
+        self.rewrite(path, lambda p: {**p, "b_tok": p["b_tok"].astype(dtype)})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameters \['b_tok'\] are not float64"):
+            load_checkpoint(path)
+
+    def test_missing_meta_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        (tmp_path / "ind.ckpt.meta.json").unlink()
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: meta file .* is missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ['{"vocab_size": 6,', "5", "[1, 2]"])
+    def test_meta_file_that_is_not_a_json_object(self, tmp_path, text):
+        path = self._saved(tmp_path)
+        (tmp_path / "ind.ckpt.meta.json").write_text(text)
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt\.meta\.json: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: {k: v for k, v in m.items() if k != "k1"},
+            lambda m: {**m, "param_order": []},
+            lambda m: {**m, "k1": 2.0},
+            lambda m: {**m, "depth": "2"},
+            lambda m: {**m, "depth": True},
+        ],
+        ids=["missing-key", "extra-key", "float", "string", "bool"],
+    )
+    def test_meta_that_is_not_an_integer_config(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        self.rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt\.meta\.json: expected integer values"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [{"k1": 0}, {"k2": 99}, {"hidden_dim": 2}])
+    def test_meta_with_an_invalid_config(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        self.rewrite_meta(path, lambda m: {**m, **edit})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: "):
+            load_checkpoint(path)
+
+    def test_meta_that_disagrees_with_the_parameters(self, tmp_path):
+        path = self._saved(tmp_path)
+        self.rewrite_meta(path, lambda m: {**m, "k1": 3})
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameter w_tok has shape"):
             load_checkpoint(path)
 
     def test_vocab_mismatch(self, tmp_path):

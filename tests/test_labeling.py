@@ -233,5 +233,38 @@ class TestLoadValidation:
 
     def test_old_jsonl_dataset_gets_a_clear_error(self, saved):
         saved.write_text(json.dumps({"top_tokens": [0, 1], "label": 1}) + "\n")
-        with pytest.raises(ValueError, match=r"train\.npz: not a dataset \.npz archive"):
+        with pytest.raises(ValueError, match=r"train\.npz: not an intact \.npz archive"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("text", ['{"K1": 2,', "5", '["K1", 2]'])
+    def test_meta_file_that_is_not_a_json_object(self, saved, text):
+        with open(f"{saved}.meta.json", "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=r"train\.npz\.meta\.json: "):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", [0, 2.0, "8", None, True])
+    def test_geometry_that_is_not_a_positive_integer(self, saved, value):
+        self.tamper(saved, meta={"V": value})
+        with pytest.raises(ValueError, match=r"train\.npz\.meta\.json lacks V as positive integers"):
+            load_dataset(saved)
+
+    def test_extra_or_missing_column(self, saved):
+        with np.load(saved) as npz:
+            arrays = dict(npz)
+        for edited in ({**arrays, "weight": arrays["k"]}, {k: v for k, v in arrays.items() if k != "pos"}):
+            with open(saved, "wb") as fh:
+                np.savez(fh, **edited)
+            with pytest.raises(ValueError, match=r"train\.npz: holds arrays"):
+                load_dataset(saved)
+
+    def test_flipped_byte_fails_the_crc(self, saved):
+        with np.load(saved) as npz:
+            hidden = npz["hidden"]
+        blob = bytearray(saved.read_bytes())
+        at = blob.find(hidden.tobytes())
+        assert at > 0
+        blob[at + 9] ^= 0x10
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"train\.npz: not an intact .*CRC"):
             load_dataset(saved)
