@@ -103,10 +103,9 @@ def cmd_train(args):
     hyper = TrainHyper(lr=args.lr, batch_size=args.batch, epochs=args.epochs)
     trained, history = train(model, ds, hyper, rng)
     save_checkpoint(trained, args.out)
-    last = history[-1] if history else {}
     print(
         f"trained {trained.num_params} parameters for {len(history)} epochs; "
-        f"final: {json.dumps(last)}"
+        f"final: {json.dumps(history[-1])}"
     )
 
 
@@ -123,7 +122,7 @@ def cmd_sample(args):
     else:
         indicator = ni_cfg = None
         if args.sampler == "ni":
-            indicator = load_checkpoint(args.ckpt, expected_vocab_size=den.vocab.size)
+            indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
             ni_cfg = NIConfig(
                 base=DecodeConfig(threshold=args.base_epsilon, temperature=args.temperature, seed=args.seed),
                 eps_phi=args.eps_phi,
@@ -168,7 +167,7 @@ def cmd_analyze_merge(args):
 
 def cmd_sweep(args):
     model, den = _build_denoiser(args)
-    indicator = load_checkpoint(args.ckpt, expected_vocab_size=den.vocab.size)
+    indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
     rows, summary = harness.sweep(
         den,
         model,
@@ -359,6 +358,13 @@ def _check(parser, args) -> None:
     """Reject flag values and combinations that argparse cannot express."""
     if getattr(args, "dtemp", None) is not None and args.dtemp <= 0:
         parser.error(f"--dtemp must be positive, got {args.dtemp}")
+    if args.command == "train":
+        flags = (("--lr", "lr", args.lr), ("--batch", "batch_size", args.batch), ("--epochs", "epochs", args.epochs))
+        for flag, name, value in flags:
+            try:
+                TrainHyper(**{name: value})
+            except ValueError as exc:
+                parser.error(f"invalid value {value} for {flag}: {exc}")
     if args.command == "sample":
         if args.sampler == "ni" and not args.ckpt:
             parser.error("--sampler ni requires --ckpt")

@@ -50,10 +50,15 @@ class MarkovModel:
     transition: np.ndarray
 
     def __post_init__(self) -> None:
-        initial = np.asarray(self.initial, dtype=np.float64)
-        transition = np.asarray(self.transition, dtype=np.float64)
+        try:
+            initial = np.asarray(self.initial, dtype=np.float64)
+            transition = np.asarray(self.transition, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DenoiserError(f"probabilities must be numeric arrays: {exc}") from None
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition", transition)
+        if initial.ndim != 1 or not initial.size:
+            raise DenoiserError(f"initial must be a non-empty vector, got shape {initial.shape}")
         V = initial.shape[0]
         if transition.shape != (V, V):
             raise DenoiserError(f"transition must be {V}x{V}, got {transition.shape}")
@@ -116,15 +121,26 @@ class MarkovModel:
 
     @staticmethod
     def from_dict(d: dict) -> "MarkovModel":
-        model = MarkovModel(np.asarray(d["initial"]), np.asarray(d["transition"]))
-        if model.V != d["V"]:
-            raise DenoiserError("declared V does not match distribution shapes")
+        """The model a to_dict object describes; DenoiserError for anything else."""
+        if not isinstance(d, dict):
+            raise DenoiserError(f"expected a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("V", "initial", "transition") if key not in d]
+        if missing:
+            raise DenoiserError(f"missing keys {missing}")
+        model = MarkovModel(d["initial"], d["transition"])
+        if type(d["V"]) is not int or model.V != d["V"]:
+            raise DenoiserError(f"declared V={d['V']!r} does not match distribution shapes (V={model.V})")
         return model
 
     @staticmethod
     def load(path) -> "MarkovModel":
-        with open(path) as fh:
-            return MarkovModel.from_dict(json.load(fh))
+        """Read a JSON config; DenoiserError naming the file when it is not
+        valid JSON or not a model from_dict accepts."""
+        try:
+            with open(path) as fh:
+                return MarkovModel.from_dict(json.load(fh))
+        except (ValueError, DenoiserError) as exc:
+            raise DenoiserError(f"{path}: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -371,22 +387,43 @@ class ReplayDenoiser:
         self._by_step: dict = {}
         self.feature_dim = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                d = json.loads(line)
-                row = np.asarray(d["row"], dtype=np.float64)
-                hidden = np.asarray(d["hidden"], dtype=np.float64)
-                if row.shape[0] != vocab.size:
-                    raise DenoiserError(
-                        f"vocabulary mismatch: log rows have V={row.shape[0]}, "
-                        f"configured V={vocab.size}"
-                    )
+                try:
+                    h, step, pos, row, hidden = self._parse_line(line, vocab.size)
+                except (ValueError, TypeError) as exc:
+                    raise DenoiserError(f"{path}:{lineno}: {exc}") from None
                 if self.feature_dim is None:
                     self.feature_dim = hidden.shape[0]
-                self._by_hash[(d["id"], d["pos"])] = (row, hidden)
-                self._by_step[(d["step"], d["pos"])] = (row, hidden)
+                elif hidden.shape[0] != self.feature_dim:
+                    raise DenoiserError(
+                        f"{path}:{lineno}: hidden width {hidden.shape[0]} differs from "
+                        f"the log's first entry ({self.feature_dim})"
+                    )
+                self._by_hash[(h, pos)] = (row, hidden)
+                self._by_step[(step, pos)] = (row, hidden)
         self._query_idx = 0
+
+    @staticmethod
+    def _parse_line(line: str, V: int) -> tuple:
+        """(state hash, step, pos, row, hidden) from one RecordingDenoiser
+        line; ValueError or TypeError when it is not one."""
+        d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        missing = [k for k in ("id", "step", "pos", "row", "hidden") if k not in d]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        if not isinstance(d["id"], str) or type(d["step"]) is not int or type(d["pos"]) is not int:
+            raise ValueError("expected a string id and integer step and pos")
+        row = np.asarray(d["row"], dtype=np.float64)
+        hidden = np.asarray(d["hidden"], dtype=np.float64)
+        if row.shape != (V,):
+            raise ValueError(f"vocabulary mismatch: log row has shape {row.shape}, configured V={V}")
+        if hidden.ndim != 1:
+            raise ValueError(f"hidden must be a vector, got shape {hidden.shape}")
+        return d["id"], d["step"], d["pos"], row, hidden
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         masked = seq.masked_positions()

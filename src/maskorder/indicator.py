@@ -9,7 +9,8 @@ bit-reproducible and the gradients can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,16 +59,6 @@ class IndicatorConfig:
         # the three projections fill disjoint slices of the backbone width
         d = self.hidden_dim // 3
         return (self.hidden_dim - 2 * d, d, d)
-
-
-def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
-
-
-def _silu_grad(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
 
 
 def _param_shapes(cfg: IndicatorConfig) -> dict:
@@ -151,8 +142,9 @@ class IndicatorModel:
         blocks = []
         for i in range(self.config.depth):
             u = x @ p[f"w1_{i}"] + p[f"b1_{i}"]
-            a = _silu(u)
-            blocks.append((x, u, a))
+            sg = 1.0 / (1.0 + np.exp(-u))  # SiLU(u) = u * sg; the backward pass reuses sg
+            a = u * sg
+            blocks.append((x, u, sg, a))
             x = x + a @ p[f"w2_{i}"] + p[f"b2_{i}"]
         z = x @ p["w_head"] + p["b_head"]
         z = z - z.max(axis=1, keepdims=True)
@@ -208,10 +200,10 @@ def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
     grads["b_head"] = dz.sum(axis=0)
     dx = dz @ p["w_head"].T
     for i in reversed(range(cfg.depth)):
-        x_in, u, a = blocks[i]
+        x_in, u, sg, a = blocks[i]
         grads[f"w2_{i}"] = a.T @ dx
         grads[f"b2_{i}"] = dx.sum(axis=0)
-        du = (dx @ p[f"w2_{i}"].T) * _silu_grad(u)
+        du = (dx @ p[f"w2_{i}"].T) * (sg * (1.0 + u * (1.0 - sg)))
         grads[f"w1_{i}"] = x_in.T @ du
         grads[f"b1_{i}"] = du.sum(axis=0)
         dx = dx + du @ p[f"w1_{i}"].T
@@ -226,10 +218,13 @@ def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
     grads["b_log"] = dl.sum(axis=0)
     grads["w_hid"] = hidden.T @ dh
     grads["b_hid"] = dh.sum(axis=0)
-    de = (dt @ p["w_tok"].T).reshape(B, cfg.k1, cfg.emb_dim)
-    g_emb = np.zeros_like(p["emb"])
-    np.add.at(g_emb, tok_ids.reshape(-1), de.reshape(-1, cfg.emb_dim))
-    grads["emb"] = g_emb
+    # one scatter over the flattened table: element (t, j) sits at t*emb_dim + j,
+    # and repeated ids accumulate in row order, as a 2-D scatter of rows would
+    de = dt @ p["w_tok"].T
+    flat_idx = (tok_ids[:, :, None] * cfg.emb_dim + np.arange(cfg.emb_dim)).reshape(-1)
+    g_emb = np.zeros(p["emb"].size)
+    np.add.at(g_emb, flat_idx, de.reshape(-1))
+    grads["emb"] = g_emb.reshape(p["emb"].shape)
     return loss, grads
 
 
@@ -243,51 +238,91 @@ class TrainHyper:
     batch_size: int = 256
     epochs: int = 50
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+
 
 @dataclass(frozen=True)
 class TrainState:
-    params: dict
-    m: dict
-    v: dict
+    """AdamW state. The parameters and both moments are one float64 vector
+    each, laid out as `shapes` lists them; `params` maps each name to a view
+    of its slice of `flat`."""
+
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int
     hyper: TrainHyper
+    shapes: dict  # parameter name -> shape, in the order of the vectors
+    params: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        views, at = {}, 0
+        for name, shape in self.shapes.items():
+            n = math.prod(shape)
+            views[name] = self.flat[at : at + n].reshape(shape)
+            at += n
+        object.__setattr__(self, "params", views)
 
     @staticmethod
     def fresh(params: dict, hyper: TrainHyper) -> "TrainState":
-        return TrainState(
-            params={k: p.copy() for k, p in params.items()},
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-            hyper=hyper,
-        )
+        flat = np.concatenate([np.asarray(p, dtype=np.float64).reshape(-1) for p in params.values()])
+        shapes = {k: np.shape(p) for k, p in params.items()}
+        return TrainState(flat, np.zeros_like(flat), np.zeros_like(flat), 0, hyper, shapes)
 
 
 def adamw_step(state: TrainState, grads: dict) -> TrainState:
-    """One decoupled-weight-decay Adam update with bias correction."""
+    """One decoupled-weight-decay Adam update with bias correction, over the
+    whole parameter vector at once (each element gets the same operations in
+    the same order as a per-parameter update)."""
     h = state.hyper
     t = state.step + 1
-    params, m, v = {}, {}, {}
-    for key, w in state.params.items():
-        g = grads[key]
-        if g.shape != w.shape:
+    for key, shape in state.shapes.items():
+        if grads[key].shape != shape:
             raise ValueError(f"gradient shape mismatch for {key}")
-        m[key] = h.beta1 * state.m[key] + (1 - h.beta1) * g
-        v[key] = h.beta2 * state.v[key] + (1 - h.beta2) * g * g
-        m_hat = m[key] / (1 - h.beta1**t)
-        v_hat = v[key] / (1 - h.beta2**t)
-        w_new = w - h.lr * m_hat / (np.sqrt(v_hat) + h.eps)
-        if h.weight_decay:
-            w_new = w_new - h.lr * h.weight_decay * w
-        params[key] = w_new
-    return TrainState(params=params, m=m, v=v, step=t, hyper=h)
+    g = np.concatenate([grads[key].reshape(-1) for key in state.shapes])
+    w = state.flat
+    m = h.beta1 * state.m
+    m += (1 - h.beta1) * g
+    v = h.beta2 * state.v
+    g2 = (1 - h.beta2) * g
+    g2 *= g
+    v += g2
+    m_hat = m / (1 - h.beta1**t)
+    v_hat = v / (1 - h.beta2**t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += h.eps
+    m_hat *= h.lr
+    m_hat /= v_hat
+    w_new = w - m_hat
+    if h.weight_decay:
+        w_new -= h.lr * h.weight_decay * w
+    return TrainState(w_new, m, v, t, h, state.shapes)
 
 
 def train(model: IndicatorModel, dataset, hyper: TrainHyper, rng: np.random.Generator):
     """Shuffled mini-batch training with a fixed 10% held-out split.
 
+    The split comes first: rng.permutation(N), whose leading max(1, N // 10)
+    rows are held out (none when N is 1). Each epoch then draws a permutation
+    of the rest and takes one loss_and_grad and one adamw_step per minibatch.
+
     Returns (trained model, history); history has one entry per epoch with
-    train loss, train accuracy, and held-out accuracy.
+    its `epoch` index, `train_loss` (the mean minibatch loss) and, when rows
+    are held out, `holdout_acc` (the held-out accuracy at the end of the
+    epoch). The train split is not rescored: its accuracy would cost a
+    forward pass over every row per epoch.
     """
     examples = dataset.examples if hasattr(dataset, "examples") else list(dataset)
     if not examples:
@@ -313,14 +348,9 @@ def train(model: IndicatorModel, dataset, hyper: TrainHyper, rng: np.random.Gene
                 raise RuntimeError(f"training diverged: loss={loss} at epoch {epoch}")
             state = adamw_step(state, grads)
             losses.append(loss)
-        current = IndicatorModel(model.config, state.params)
-        train_scores = current.score_batch(tok_ids[tr], logits[tr], hidden[tr])
-        entry = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "train_acc": float(np.mean((train_scores >= 0.5) == (labels[tr] == 1))),
-        }
+        entry = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if n_hold:
+            current = IndicatorModel(model.config, state.params)
             hold_scores = current.score_batch(tok_ids[hold], logits[hold], hidden[hold])
             entry["holdout_acc"] = float(np.mean((hold_scores >= 0.5) == (labels[hold] == 1)))
         history.append(entry)
@@ -333,10 +363,11 @@ def save_checkpoint(model: IndicatorModel, path) -> None:
     save_archive(path, model.params, asdict(model.config))
 
 
-def load_checkpoint(path, expected_vocab_size=None) -> IndicatorModel:
+def load_checkpoint(path, expected_vocab_size=None, expected_feature_dim=None) -> IndicatorModel:
     """Read a checkpoint; CheckpointError naming the path when load_archive
     fails, the meta is not an IndicatorConfig of ints, or the parameters
-    (names, shapes, float64) or expected_vocab_size disagree with it."""
+    (names, shapes, float64), expected_vocab_size or expected_feature_dim
+    (the denoiser's) disagree with it."""
     try:
         params, meta = load_archive(path)
     except ValueError as exc:
@@ -348,6 +379,10 @@ def load_checkpoint(path, expected_vocab_size=None) -> IndicatorModel:
         cfg = IndicatorConfig(**meta)
         if expected_vocab_size not in (None, cfg.vocab_size):
             raise ValueError(f"vocabulary size {cfg.vocab_size} does not match expected {expected_vocab_size}")
+        if expected_feature_dim not in (None, cfg.feature_dim):
+            raise ValueError(
+                f"feature dimension {cfg.feature_dim} does not match the denoiser's {expected_feature_dim}"
+            )
         wrong = [name for name, a in params.items() if a.dtype != np.float64]
         if wrong:
             raise ValueError(f"parameters {wrong} are not float64")

@@ -7,7 +7,7 @@ from conftest import sticky_chain
 from maskorder.cli import main
 from maskorder.core import SampleRecord, Trajectory, final_tokens, load_records, save_records
 from maskorder.denoiser import MarkovDenoiser, RecordingDenoiser
-from maskorder.indicator import IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
+from maskorder.indicator import CheckpointError, IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
 from maskorder.labeling import load_dataset
 from maskorder.orders import DecodeConfig, decode
 
@@ -337,6 +337,38 @@ class TestUsageErrors:
             "--out", str(tmp_path / "a.jsonl"),
         )
         assert "--traj" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--batch", "0", "batch_size must be at least 1"),
+            ("--epochs", "0", "epochs must be at least 1"),
+            ("--lr", "nan", "lr must be finite and positive"),
+            ("--lr", "-0.1", "lr must be finite and positive"),
+        ],
+    )
+    def test_training_hyperparameters_are_checked(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "c.ckpt"
+        err = _usage_error(capsys, "train", "--data", "d.npz", flag, value, "--out", str(out))
+        assert f"invalid value {value} for {flag}: {message}" in err
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({flag[2:]: float(value) if flag == "--lr" else int(value)}))
+        err = _usage_error(capsys, "--config", str(cfg), "train", "--data", "d.npz", "--out", str(out))
+        assert f"for {flag}: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_checkpoint_with_another_feature_dim_names_the_file(self, tmp_path, chain_file, command):
+        ckpt = tmp_path / "ind.ckpt"
+        feature_dim = MarkovDenoiser(sticky_chain(8, 0.9)).feature_dim + 1
+        cfg = IndicatorConfig(vocab_size=8, k1=2, k2=3, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
+        save_checkpoint(IndicatorModel.init(cfg, np.random.default_rng(0)), ckpt)
+        argv = {
+            "sample": ("--sampler", "ni", "--out", str(tmp_path / "a.jsonl")),
+            "sweep": ("--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")),
+        }[command]
+        with pytest.raises(CheckpointError, match=rf"ind\.ckpt: feature dimension {feature_dim} does not match"):
+            run(command, "--denoiser", chain_file, "--ckpt", str(ckpt), "--count", "1", *argv)
 
     def test_sample_has_no_mode_flag(self, tmp_path, chain_file, capsys):
         err = _usage_error(

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -110,6 +111,36 @@ class TestMarkovModel:
         model.save(path)
         loaded = MarkovModel.load(path)
         assert np.array_equal(loaded.transition, model.transition)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"V": 2, "initial": [0.5, 0.5],', "Expecting"),
+            ("", "Expecting value"),
+            ("[0.5, 0.5]", "expected a JSON object, got list"),
+            ("5", "expected a JSON object, got int"),
+            ('{"initial": [0.5, 0.5], "transition": [[1, 0], [0, 1]]}', r"missing keys \['V'\]"),
+            ('{"V": 2, "initial": [0.5, 0.5]}', r"missing keys \['transition'\]"),
+            ('{"V": 3, "initial": [0.5, 0.5], "transition": [[1, 0], [0, 1]]}', "declared V=3"),
+            ('{"V": "2", "initial": [0.5, 0.5], "transition": [[1, 0], [0, 1]]}', "declared V='2'"),
+            ('{"V": 2, "initial": ["a", "b"], "transition": [[1, 0], [0, 1]]}', "numeric arrays"),
+            ('{"V": 2, "initial": [0.5, 0.5], "transition": [[1, 0], [0]]}', "numeric arrays"),
+            ('{"V": 2, "initial": {"a": 1}, "transition": [[1, 0], [0, 1]]}', "numeric arrays"),
+            ('{"V": 2, "initial": [[0.25, 0.25], [0.25, 0.25]], "transition": [[1, 0], [0, 1]]}', "vector"),
+            ('{"V": 0, "initial": [], "transition": []}', "vector"),
+            ('{"V": 2, "initial": 1.0, "transition": [[1, 0], [0, 1]]}', "vector"),
+            ('{"V": 2, "initial": [0.5, 0.5], "transition": [1, 0]}', "transition must be 2x2"),
+        ],
+        ids=[
+            "bad-json", "empty", "list", "number", "no-V", "no-transition", "wrong-V", "string-V",
+            "strings", "ragged", "object", "matrix-initial", "empty-initial", "scalar-initial", "vector-transition",
+        ],
+    )
+    def test_malformed_config_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "chain.json"
+        path.write_text(text)
+        with pytest.raises(DenoiserError, match=rf"chain\.json: .*{message}"):
+            MarkovModel.load(path)
 
 
 class TestMarkovPosterior:
@@ -406,5 +437,34 @@ class TestReplay:
         log = tmp_path / "dist.jsonl"
         with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:
             decode(rec_den, (1,), 4, DecodeConfig(seed=0))
-        with pytest.raises(DenoiserError, match="mismatch"):
+        with pytest.raises(DenoiserError, match=r"dist\.jsonl:1: vocabulary mismatch"):
             ReplayDenoiser(log, Vocabulary(16))
+
+    GOOD = {"id": "ab", "step": 0, "pos": 1, "row": [0.25] * 4, "hidden": [0.0] * 7}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "ab", "step": 0,', "Expecting"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            (json.dumps({k: v for k, v in GOOD.items() if k != "row"}), r"missing keys \['row'\]"),
+            (json.dumps({k: v for k, v in GOOD.items() if k not in ("id", "pos")}), r"missing keys \['id', 'pos'\]"),
+            (json.dumps({**GOOD, "step": "0"}), "integer step"),
+            (json.dumps({**GOOD, "pos": 1.0}), "integer step and pos"),
+            (json.dumps({**GOOD, "id": 7}), "string id"),
+            (json.dumps({**GOOD, "row": ["x"] * 4}), "could not convert"),
+            (json.dumps({**GOOD, "row": {"a": 1}}), "float"),
+            (json.dumps({**GOOD, "row": [[0.25] * 4]}), "vocabulary mismatch"),
+            (json.dumps({**GOOD, "hidden": 0.0}), "hidden must be a vector"),
+            (json.dumps({**GOOD, "hidden": [0.0] * 6}), r"hidden width 6 differs from the log's first entry \(7\)"),
+        ],
+        ids=[
+            "bad-json", "list", "no-row", "no-id-pos", "string-step", "float-pos", "int-id", "string-row",
+            "object-row", "matrix-row", "scalar-hidden", "narrower-hidden",
+        ],
+    )
+    def test_malformed_line_names_the_file_and_line(self, tmp_path, line, message):
+        log = tmp_path / "dist.jsonl"
+        log.write_text(json.dumps(self.GOOD) + "\n\n" + line + "\n")
+        with pytest.raises(DenoiserError, match=rf"dist\.jsonl:3: .*{message}"):
+            ReplayDenoiser(log, Vocabulary(4))

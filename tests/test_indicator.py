@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskorder.denoiser import FeatureBundle
 from maskorder.labeling import LabeledExample
@@ -169,6 +171,40 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(state, {"w": np.zeros(4)})
 
+    def test_state_is_one_vector_with_parameter_views(self):
+        state = TrainState.fresh({"a": np.ones((2, 3)), "b": np.full(4, 2.0)}, TrainHyper())
+        new = adamw_step(state, {"a": np.ones((2, 3)), "b": np.ones(4)})
+        assert new.flat.shape == new.m.shape == new.v.shape == (10,)
+        assert new.params["a"].shape == (2, 3) and np.shares_memory(new.params["b"], new.flat)
+        assert np.array_equal(state.flat, [1.0] * 6 + [2.0] * 4)  # the old state is unchanged
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"batch_size": 0},
+            {"epochs": 0},
+            {"lr": 0.0},
+            {"lr": -1e-3},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"beta1": 1.0},
+            {"beta1": -0.1},
+            {"beta2": 1.0},
+            {"beta2": float("nan")},
+            {"eps": 0.0},
+            {"weight_decay": -0.01},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_hyperparameters_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainHyper(**bad)
+
+    def test_hyperparameter_edges_are_accepted(self):
+        TrainHyper(batch_size=1, epochs=1, beta1=0.0, beta2=0.0, weight_decay=0.0)
+
     def test_repeated_steps_descend_a_quadratic(self):
         hyper = TrainHyper(lr=0.05, weight_decay=0.0)
         state = TrainState.fresh({"w": np.array([3.0])}, hyper)
@@ -184,9 +220,14 @@ class TestTraining:
         model = IndicatorModel.init(SMALL, np.random.default_rng(1))
         hyper = TrainHyper(lr=3e-3, batch_size=64, epochs=40)
         trained, history = train(model, examples, hyper, np.random.default_rng(2))
+        assert all(set(entry) == {"epoch", "train_loss", "holdout_acc"} for entry in history)
         assert history[-1]["holdout_acc"] >= 0.95
-        assert history[-1]["train_acc"] >= 0.97
         assert history[-1]["train_loss"] < history[0]["train_loss"]
+        # train() holds out the first tenth of rng.permutation(N), drawn first
+        tr = np.random.default_rng(2).permutation(600)[60:]
+        tok_ids, logits, hidden, labels = batch_arrays([examples[i] for i in tr])
+        train_acc = np.mean((trained.score_batch(tok_ids, logits, hidden) >= 0.5) == (labels == 1))
+        assert train_acc >= 0.97
 
     def test_training_is_bit_reproducible(self):
         rng = np.random.default_rng(3)
@@ -212,6 +253,153 @@ class TestTraining:
         assert logits.shape == (10, SMALL.k2)
         assert hidden.shape == (10, SMALL.feature_dim)
         assert set(labels) <= {0, 1}
+
+
+# -- reference: the per-parameter update and the 2-D embedding scatter -----
+
+
+def reference_loss_and_grad(cfg, p, tok_ids, logits, hidden, labels):
+    """Loss and gradients as a straightforward per-block, per-row computation
+    (sigmoid recomputed in the backward pass, embedding rows scattered as rows)."""
+    B = len(labels)
+    e_flat = p["emb"][tok_ids].reshape(B, -1)
+    x = np.concatenate(
+        [e_flat @ p["w_tok"] + p["b_tok"], logits @ p["w_log"] + p["b_log"], hidden @ p["w_hid"] + p["b_hid"]],
+        axis=1,
+    )
+    blocks = []
+    for i in range(cfg.depth):
+        u = x @ p[f"w1_{i}"] + p[f"b1_{i}"]
+        a = u * (1.0 / (1.0 + np.exp(-u)))
+        blocks.append((x, u, a))
+        x = x + a @ p[f"w2_{i}"] + p[f"b2_{i}"]
+    z = x @ p["w_head"] + p["b_head"]
+    z = z - z.max(axis=1, keepdims=True)
+    probs = np.exp(z)
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(B), labels], 1e-300))))
+
+    grads = {}
+    dz = probs.copy()
+    dz[np.arange(B), labels] -= 1.0
+    dz /= B
+    grads["w_head"] = x.T @ dz
+    grads["b_head"] = dz.sum(axis=0)
+    dx = dz @ p["w_head"].T
+    for i in reversed(range(cfg.depth)):
+        x_in, u, a = blocks[i]
+        grads[f"w2_{i}"] = a.T @ dx
+        grads[f"b2_{i}"] = dx.sum(axis=0)
+        s = 1.0 / (1.0 + np.exp(-u))
+        du = (dx @ p[f"w2_{i}"].T) * (s * (1.0 + u * (1.0 - s)))
+        grads[f"w1_{i}"] = x_in.T @ du
+        grads[f"b1_{i}"] = du.sum(axis=0)
+        dx = dx + du @ p[f"w1_{i}"].T
+    d_tok, d_log, _ = cfg.group_widths
+    dt, dl, dh = dx[:, :d_tok], dx[:, d_tok : d_tok + d_log], dx[:, d_tok + d_log :]
+    grads["w_tok"] = e_flat.T @ dt
+    grads["b_tok"] = dt.sum(axis=0)
+    grads["w_log"] = logits.T @ dl
+    grads["b_log"] = dl.sum(axis=0)
+    grads["w_hid"] = hidden.T @ dh
+    grads["b_hid"] = dh.sum(axis=0)
+    de = (dt @ p["w_tok"].T).reshape(B, cfg.k1, cfg.emb_dim)
+    grads["emb"] = np.zeros_like(p["emb"])
+    np.add.at(grads["emb"], tok_ids.reshape(-1), de.reshape(-1, cfg.emb_dim))
+    return loss, grads
+
+
+def reference_adamw_step(h, t, params, m, v, grads):
+    """Step t (from 1) of AdamW, one parameter at a time; returns (params, m, v)."""
+    new_params, new_m, new_v = {}, {}, {}
+    for key, w in params.items():
+        g = grads[key]
+        new_m[key] = h.beta1 * m[key] + (1 - h.beta1) * g
+        new_v[key] = h.beta2 * v[key] + (1 - h.beta2) * g * g
+        m_hat = new_m[key] / (1 - h.beta1**t)
+        v_hat = new_v[key] / (1 - h.beta2**t)
+        w_new = w - h.lr * m_hat / (np.sqrt(v_hat) + h.eps)
+        if h.weight_decay:
+            w_new = w_new - h.lr * h.weight_decay * w
+        new_params[key] = w_new
+    return new_params, new_m, new_v
+
+
+def assert_bitwise_equal(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].dtype == b[name].dtype, name
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+@st.composite
+def small_configs(draw):
+    V = draw(st.integers(1, 6))
+    return IndicatorConfig(
+        vocab_size=V,
+        k1=draw(st.integers(1, V)),
+        k2=draw(st.integers(1, V)),
+        feature_dim=draw(st.integers(1, 4)),
+        emb_dim=draw(st.integers(1, 4)),
+        hidden_dim=draw(st.integers(3, 10)),
+        depth=draw(st.integers(1, 3)),
+    )
+
+
+class TestBitEquality:
+    """The vectorised update and gradients are bitwise equal to the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=small_configs(),
+        B=st.integers(1, 12),
+        steps=st.integers(1, 4),
+        lr=st.sampled_from([1e-3, 3e-2, 0.1]),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_steps_match_the_reference(self, cfg, B, steps, lr, weight_decay, seed):
+        rng = np.random.default_rng(seed)
+        model = randomized_head(IndicatorModel.init(cfg, rng), rng)
+        hyper = TrainHyper(lr=lr, weight_decay=weight_decay)
+        state = TrainState.fresh(model.params, hyper)
+        params = {k: p.copy() for k, p in model.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, steps + 1):
+            tok_ids, logits, hidden, labels = random_batch(cfg, B, rng)
+            tok_ids = tok_ids % min(cfg.vocab_size, 2)  # many repeated ids per column and row
+            loss, grads = loss_and_grad(IndicatorModel(cfg, state.params), tok_ids, logits, hidden, labels)
+            ref_loss, ref_grads = reference_loss_and_grad(cfg, params, tok_ids, logits, hidden, labels)
+            assert loss == ref_loss
+            assert_bitwise_equal(grads, ref_grads)
+            state = adamw_step(state, grads)
+            params, m, v = reference_adamw_step(hyper, t, params, m, v, ref_grads)
+            assert state.step == t
+            assert_bitwise_equal(state.params, params)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_training_matches_a_reference_loop(self, seed):
+        examples = separable_dataset(SMALL, 150, np.random.default_rng(seed))
+        model = IndicatorModel.init(SMALL, np.random.default_rng(seed + 10))
+        hyper = TrainHyper(lr=3e-3, batch_size=32, epochs=3)
+        trained, _ = train(model, examples, hyper, np.random.default_rng(seed + 20))
+
+        rng = np.random.default_rng(seed + 20)
+        tok_ids, logits, hidden, labels = batch_arrays(examples)
+        tr = rng.permutation(len(labels))[max(1, len(labels) // 10) :]
+        params = {k: p.copy() for k, p in model.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        t = 0
+        for _ in range(hyper.epochs):
+            order = tr[rng.permutation(len(tr))]
+            for start in range(0, len(order), hyper.batch_size):
+                idx = order[start : start + hyper.batch_size]
+                _, grads = reference_loss_and_grad(SMALL, params, tok_ids[idx], logits[idx], hidden[idx], labels[idx])
+                t += 1
+                params, m, v = reference_adamw_step(hyper, t, params, m, v, grads)
+        assert_bitwise_equal(trained.params, params)
 
 
 class TestCheckpoints:
@@ -349,6 +537,12 @@ class TestCheckpoints:
         self.rewrite_meta(path, lambda m: {**m, "k1": 3})
         with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameter w_tok has shape"):
             load_checkpoint(path)
+
+    def test_feature_dim_mismatch(self, tmp_path):
+        path = self._saved(tmp_path)
+        assert load_checkpoint(path, expected_feature_dim=SMALL.feature_dim).config == SMALL
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: feature dimension 4 does not match the denoiser's 7"):
+            load_checkpoint(path, 6, 7)
 
     def test_vocab_mismatch(self, tmp_path):
         model = self._model()
