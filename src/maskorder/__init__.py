@@ -30,6 +30,6 @@ from .indicator import IndicatorConfig, IndicatorModel, TrainHyper, load_checkpo
 from .labeling import LabeledExample, LabelingConfig, build_dataset, label_state
 from .merge import MergeReport, count_mergeable, final_results_preserving, merge_trajectory
 from .ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
-from .orders import DecodeConfig, categorical_sample, decode, position_scores, run_steps, select_positions
+from .orders import DecodeConfig, decode, position_scores, run_steps, sample_tokens, select_positions
 
 __version__ = "0.1.0"

@@ -354,17 +354,30 @@ def _apply_config(parser, command: str, path) -> None:
                 parser.error(f"--config {path}: invalid value {value!r} for {action.option_strings[-1]} ({exc})")
 
 
+_CHECKED_OPTIONS = {  # option dest -> (the config that checks its value, the field it fills)
+    "epsilon": (DecodeConfig, "threshold"),
+    "base_epsilon": (DecodeConfig, "threshold"),
+    "temperature": (DecodeConfig, "temperature"),
+    "eps_phi": (NIConfig, "eps_phi"),
+    "lr": (TrainHyper, "lr"),
+    "batch": (TrainHyper, "batch_size"),
+    "epochs": (TrainHyper, "epochs"),
+    **{dest: (lambda **kw: IndicatorConfig(vocab_size=8, **kw), dest) for dest in ("emb_dim", "hidden_dim", "depth")},
+}
+
+
 def _check(parser, args) -> None:
     """Reject flag values and combinations that argparse cannot express."""
-    if getattr(args, "dtemp", None) is not None and args.dtemp <= 0:
-        parser.error(f"--dtemp must be positive, got {args.dtemp}")
-    if args.command == "train":
-        flags = (("--lr", "lr", args.lr), ("--batch", "batch_size", args.batch), ("--epochs", "epochs", args.epochs))
-        for flag, name, value in flags:
+    if getattr(args, "dtemp", None) is not None and not 0 < args.dtemp < np.inf:
+        parser.error(f"--dtemp must be positive and finite, got {args.dtemp}")
+    if getattr(args, "prompt_len", 0) < 0:
+        parser.error(f"invalid value {args.prompt_len} for --prompt-len: must be nonnegative")
+    for dest, (config, name) in _CHECKED_OPTIONS.items():
+        if getattr(args, dest, None) is not None:
             try:
-                TrainHyper(**{name: value})
+                config(**{name: getattr(args, dest)})
             except ValueError as exc:
-                parser.error(f"invalid value {value} for {flag}: {exc}")
+                parser.error(f"invalid value {getattr(args, dest)} for --{dest.replace('_', '-')}: {exc}")
     if args.command == "sample":
         if args.sampler == "ni" and not args.ckpt:
             parser.error("--sampler ni requires --ckpt")

@@ -99,7 +99,9 @@ class MarkovModel:
         return t_pows[:n], pi_pows[:n]
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> tuple:
-        toks = [int(rng.choice(self.V, p=self.initial))]
+        if length < 0:
+            raise ValueError(f"length must be nonnegative, got {length}")
+        toks = [int(rng.choice(self.V, p=self.initial))] if length else []
         for _ in range(length - 1):
             toks.append(int(rng.choice(self.V, p=self.transition[toks[-1]])))
         return tuple(toks)
@@ -255,15 +257,16 @@ def temper(
 ) -> DenoiserOutput:
     """Flatten/sharpen rows and add log-space gaussian noise.
 
-    Each row becomes softmax(log p / temperature + N(0, noise_scale)); the
-    leading V feature entries are replaced by the new row, the context tail is
-    kept.
+    Each row becomes softmax(log p / temperature + N(0, noise_scale)), so a
+    zero probability stays exactly zero; the leading V feature entries are
+    replaced by the new row, the context tail is kept.
     """
-    if temperature <= 0:
-        raise DenoiserError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
     if noise_scale < 0:
         raise DenoiserError("noise_scale must be nonnegative")
-    logp = np.log(np.maximum(out.dists, 1e-300)) / temperature
+    with np.errstate(divide="ignore"):  # log 0 = -inf keeps a zero at zero
+        logp = np.log(out.dists) / temperature
     if noise_scale > 0:
         logp = logp + rng.normal(0.0, noise_scale, size=logp.shape)
     logp -= logp.max(axis=1, keepdims=True)
@@ -312,8 +315,8 @@ class TemperedDenoiser:
     """
 
     def __init__(self, inner, temperature: float = 1.0, noise_scale: float = 0.0, seed: int = 0):
-        if temperature <= 0:
-            raise DenoiserError(f"temperature must be positive, got {temperature}")
+        if not 0 < temperature < np.inf:
+            raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
         self.inner = inner
         self.temperature = temperature
         self.noise_scale = noise_scale

@@ -16,7 +16,7 @@ import numpy as np
 from .core import MaskedSequence, Trajectory, apply_steps, final_tokens
 from .denoiser import LOG_FLOOR, extract_features
 from .labeling import LabelingConfig, label_state
-from .orders import DecodeConfig, commit_token, run_steps, select_positions
+from .orders import DecodeConfig, run_steps, sample_tokens, select_positions
 
 __all__ = ["NIConfig", "ConstantIndicator", "ni_decode", "oracle_indicator_decode"]
 
@@ -25,13 +25,10 @@ __all__ = ["NIConfig", "ConstantIndicator", "ni_decode", "oracle_indicator_decod
 class NIConfig:
     """Indicator-gated decode settings.
 
-    base selects the progress-guaranteeing positions and is the token source:
-    base.temperature None commits argmax tokens, a float samples them (random
-    mode) from the generator seeded with base.seed. Random mode draws a
-    candidate token for every masked position each step, revealed or not, to
-    put it into the features; so even with a gate that never fires its
-    generator stream differs from decode(base) after the first step, and NI
-    with a closed gate equals its base sampler only in greedy mode.
+    base picks the progress-guaranteeing positions and sets the token source:
+    argmax tokens when base.temperature is None, else samples drawn from the
+    generator seeded with base.seed. Tokens come from orders.sample_tokens as
+    in decode(base), so with a gate that never fires NI equals decode(base).
     """
 
     base: DecodeConfig = field(default_factory=lambda: DecodeConfig(threshold=0.9))
@@ -59,28 +56,19 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
     rng = np.random.default_rng(cfg.base.seed)
-    temperature = cfg.base.temperature
-    random_mode = temperature is not None
 
     def choose(out, state):
-        reveals = {
-            pos: commit_token(out.row(pos), temperature, rng)
-            for pos in sorted(select_positions(out, cfg.base))
-        }
-        rest = [j for j, pos in enumerate(out.positions) if pos not in reveals]
-        if rest:
+        tokens = sample_tokens(out.dists, cfg.base.temperature, rng)
+        picked = set(select_positions(out, cfg.base))
+        revealed = np.array([pos in picked for pos in out.positions])
+        rest = np.flatnonzero(~revealed)
+        if len(rest):
+            # the top-1 slots get the token the step would commit (greedily, the argmax)
             features = extract_features(out, rest, cfg.k1, cfg.k2)
-            tokens = features.top_tokens[:, 0]  # a view: the argmax, ties toward the lower id
-            if random_mode:
-                # the sampled token and its log-probability take the top-1
-                # slots; the other ranked slots are kept as-is
-                tokens[:] = [commit_token(out.dists[j], temperature, rng) for j in rest]
-                features.top_logits[:, 0] = np.log(np.maximum(out.dists[rest, tokens], LOG_FLOOR))
-            scores = indicator.score_bundles(features)
-            for j, tok, score in zip(rest, tokens, scores):
-                if score >= cfg.eps_phi:
-                    reveals[out.positions[j]] = int(tok)
-        return {pos - state.prompt_len: tok for pos, tok in reveals.items()}
+            features.top_tokens[:, 0] = tokens[rest]
+            features.top_logits[:, 0] = np.log(np.maximum(out.dists[rest, tokens[rest]], LOG_FLOOR))
+            revealed[rest] = indicator.score_bundles(features) >= cfg.eps_phi
+        return {out.positions[j] - state.prompt_len: int(tokens[j]) for j in np.flatnonzero(revealed)}
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     return Trajectory(

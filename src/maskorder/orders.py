@@ -18,7 +18,7 @@ from .denoiser import LOG_FLOOR, DenoiserOutput
 
 RULES = ("prob", "margin", "negentropy")
 
-__all__ = ["RULES", "DecodeConfig", "position_scores", "select_positions", "run_steps", "decode", "categorical_sample"]
+__all__ = ["RULES", "DecodeConfig", "position_scores", "select_positions", "run_steps", "decode", "sample_tokens"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class DecodeConfig:
             raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
         if self.threshold is not None and not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.temperature is not None and not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def sampler_name(self) -> str:
@@ -81,22 +81,19 @@ def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
     return [out.positions[int(np.argmax(scores))]]
 
 
-def categorical_sample(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Sample a token from softmax(log row / temperature)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    logp = np.log(np.maximum(np.asarray(row, dtype=np.float64), 1e-300)) / temperature
-    logp -= logp.max()
-    p = np.exp(logp)
-    p /= p.sum()
-    return int(rng.choice(p.shape[0], p=p))
-
-
-def commit_token(row: np.ndarray, temperature: Optional[float], rng) -> int:
-    """Greedy argmax (ties toward the lower id) or a categorical sample."""
+def sample_tokens(dists: np.ndarray, temperature: Optional[float], rng: np.random.Generator) -> np.ndarray:
+    """One token per row: the argmax (ties toward the lower id) when temperature
+    is None, else a draw from softmax(log row / temperature) that is never a
+    zero-probability token, made with exactly one rng.random(M) call for the M
+    rows (one uniform per row, in row order) through each row's CDF."""
     if temperature is None:
-        return int(np.argmax(row))
-    return categorical_sample(row, temperature, rng)
+        return dists.argmax(axis=1)
+    if not 0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    # (row / max) ** (1/T) is the tempered row with top weight 1; a total >= 1 keeps u below it
+    cdf = np.cumsum((dists / dists.max(axis=1, keepdims=True)) ** (1.0 / temperature), axis=1)
+    u = rng.random(len(dists)) * cdf[:, -1]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def run_steps(denoiser, base: MaskedSequence, choose, max_steps: int) -> tuple:
@@ -125,10 +122,8 @@ def decode(denoiser, prompt, gen_len: int, cfg: DecodeConfig) -> Trajectory:
     rng = np.random.default_rng(cfg.seed)
 
     def choose(out, state):
-        return {
-            pos - state.prompt_len: commit_token(out.row(pos), cfg.temperature, rng)
-            for pos in sorted(select_positions(out, cfg))
-        }
+        tokens = sample_tokens(out.dists, cfg.temperature, rng)
+        return {pos - state.prompt_len: int(tokens[out.index_of(pos)]) for pos in select_positions(out, cfg)}
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     meta = {

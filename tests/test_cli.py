@@ -306,7 +306,7 @@ def _usage_error(capsys, *argv):
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("value", ["0", "-1.5"])
+    @pytest.mark.parametrize("value", ["0", "-1.5", "inf", "nan"])
     def test_nonpositive_dtemp_is_rejected(self, tmp_path, chain_file, capsys, value):
         err = _usage_error(
             capsys, "gen-data", "--denoiser", chain_file, "--dtemp", value, "--count", "1",
@@ -345,6 +345,9 @@ class TestUsageErrors:
             ("--epochs", "0", "epochs must be at least 1"),
             ("--lr", "nan", "lr must be finite and positive"),
             ("--lr", "-0.1", "lr must be finite and positive"),
+            ("--emb-dim", "0", "emb_dim must be positive"),
+            ("--depth", "0", "depth must be positive"),
+            ("--hidden-dim", "2", "hidden_dim must be >= 3"),
         ],
     )
     def test_training_hyperparameters_are_checked(self, tmp_path, capsys, flag, value, message):
@@ -356,6 +359,43 @@ class TestUsageErrors:
         err = _usage_error(capsys, "--config", str(cfg), "train", "--data", "d.npz", "--out", str(out))
         assert f"for {flag}: {message}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("gen-data", "--temperature", "nan", "temperature must be positive and finite"),
+            ("gen-data", "--temperature", "inf", "temperature must be positive and finite"),
+            ("gen-data", "--temperature", "0.0", "temperature must be positive and finite"),
+            ("gen-data", "--epsilon", "1.5", "threshold must be in (0, 1]"),
+            ("gen-data", "--prompt-len", "-2", "must be nonnegative"),
+            ("sample", "--temperature", "nan", "temperature must be positive and finite"),
+            ("sample", "--base-epsilon", "0.0", "threshold must be in (0, 1]"),
+            ("sample", "--eps-phi", "1.5", "eps_phi must be in [0, 1]"),
+            ("sample", "--prompt-len", "-1", "must be nonnegative"),
+            ("sweep", "--prompt-len", "-2", "must be nonnegative"),
+        ],
+    )
+    def test_decode_values_are_checked(self, tmp_path, chain_file, capsys, command, flag, value, message):
+        out = tmp_path / "a.jsonl"
+        argv = {
+            "gen-data": ("--count", "1", "--out", str(out)),
+            "sample": ("--sampler", "full", "--out", str(out)),
+            "sweep": ("--ckpt", "c.ckpt", "--out", str(out), "--summary", str(tmp_path / "s.json")),
+        }[command]
+        err = _usage_error(capsys, command, "--denoiser", chain_file, flag, value, *argv)
+        assert f"invalid value {value} for {flag}: {message}" in err
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({flag[2:]: int(value) if flag == "--prompt-len" else float(value)}))
+        err = _usage_error(capsys, "--config", str(cfg), command, "--denoiser", chain_file, *argv)
+        assert f"for {flag}: {message}" in err
+        assert not out.exists()
+
+    def test_an_empty_prompt_is_allowed(self, tmp_path, chain_file):
+        out = tmp_path / "a.jsonl"
+        run("gen-data", "--denoiser", chain_file, "--prompt-len", "0", "--count", "2", "--gen-len", "5", "--out", str(out))
+        records = load_records(out)
+        assert [r.prompt for r in records] == [(), ()]
+        assert all(len(final_tokens(r.trajectory)) == 5 for r in records)
 
     @pytest.mark.parametrize("command", ["sample", "sweep"])
     def test_checkpoint_with_another_feature_dim_names_the_file(self, tmp_path, chain_file, command):

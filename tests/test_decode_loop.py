@@ -19,7 +19,7 @@ from maskorder.core import MaskedSequence, SampleRecord, apply_steps, final_toke
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import final_results_preserving, merge_trajectory
 from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
-from maskorder.orders import RULES, DecodeConfig, decode, run_steps, select_positions
+from maskorder.orders import RULES, DecodeConfig, decode, run_steps
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -100,19 +100,7 @@ def test_a_closed_gate_reduces_ni_to_its_base_sampler(instance, eps_phi):
     ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi, k1=k, k2=k)
     gated = ni_decode(den, ConstantIndicator(0.0), prompt, gen_len, ni_cfg)
     plain = decode(den, prompt, gen_len, cfg)
-    if cfg.temperature is None:
-        assert gated.steps == plain.steps
-        return
-    # Random mode draws a candidate token for every masked position to build
-    # its features, so the shared generator moves on differently after the
-    # first step. The first step still matches, and every step reveals exactly
-    # the base rule's selection at that state.
-    assert gated.steps[0] == plain.steps[0]
-    base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
-    for k_step, step in enumerate(gated.steps, start=1):
-        state = apply_steps(base, gated, k_step)
-        chosen = select_positions(den.query(state), cfg)
-        assert {pos for pos, _ in step} == {pos - state.prompt_len for pos in chosen}
+    assert gated.steps == plain.steps
 
 
 @SETTINGS

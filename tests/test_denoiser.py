@@ -105,6 +105,18 @@ class TestMarkovModel:
         with pytest.raises(DenoiserError, match="finite"):
             MarkovModel.load(path)
 
+    def test_sample_sequence_lengths(self):
+        model = sticky_chain(4, 0.9)
+        assert model.sample_sequence(0, np.random.default_rng(0)) == ()
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.sample_sequence(-2, np.random.default_rng(0))
+        # positive lengths draw the chain's first token, then one per transition
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        tokens = [int(reference.choice(4, p=model.initial))]
+        for _ in range(5):
+            tokens.append(int(reference.choice(4, p=model.transition[tokens[-1]])))
+        assert model.sample_sequence(6, rng) == tuple(tokens)
+
     def test_config_file_round_trip(self, tmp_path):
         model = sticky_chain(4, 0.9)
         path = tmp_path / "chain.json"
@@ -286,6 +298,16 @@ class TestMarkovPosterior:
             seq = seq.reveal([(pos - seq.prompt_len, int(np.argmax(out.row(pos))))])
 
 
+@st.composite
+def distributions(draw):
+    """(M, V) probability rows, with ties and exact zeros."""
+    M, V = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    weights = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=V, max_size=V), min_size=M, max_size=M))
+    rows = np.asarray(weights, dtype=np.float64)
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 class TestTemper:
     def setup_method(self):
         self.out = markov_posterior(
@@ -314,6 +336,27 @@ class TestTemper:
         with pytest.raises(DenoiserError):
             temper(self.out, 0.0, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan])
+    def test_rejects_a_non_finite_temperature(self, temperature):
+        with pytest.raises(DenoiserError):
+            temper(self.out, temperature, 0.0, np.random.default_rng(0))
+        with pytest.raises(DenoiserError):
+            TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), temperature)
+
+    @settings(max_examples=40, deadline=None)
+    @given(distributions(), st.floats(0.05, 1e6), st.floats(0.0, 2.0))
+    def test_zeros_stay_exactly_zero(self, rows, temperature, noise_scale):
+        out = DenoiserOutput(tuple(range(len(rows))), rows, np.zeros((len(rows), rows.shape[1] + 3)))
+        tempered = temper(out, temperature, noise_scale, np.random.default_rng(0)).dists
+        assert np.array_equal(tempered == 0, rows == 0)
+
+    def test_flattened_deterministic_chain_still_decodes(self):
+        # flattened rows keep their zeros, so no draw reaches evidence of
+        # probability 0
+        den = TemperedDenoiser(MarkovDenoiser(permutation_chain(4)), temperature=100.0)
+        for seed in range(100):
+            decode(den, (0,), 8, DecodeConfig(temperature=1.0, seed=seed))
+
     def test_features_track_new_rows(self):
         tempered = temper(self.out, 3.0, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(tempered.features[:, :4], tempered.dists)
@@ -323,16 +366,6 @@ class TestTemper:
         den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.1, 0.5, seed=7)
         seq = MaskedSequence((1, 4, 4), 1, Vocabulary(4))
         assert np.array_equal(den.query(seq).dists, den.query(seq).dists)
-
-
-@st.composite
-def distributions(draw):
-    """(M, V) probability rows, with ties and exact zeros."""
-    M, V = draw(st.integers(1, 6)), draw(st.integers(2, 6))
-    weights = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=V, max_size=V), min_size=M, max_size=M))
-    rows = np.asarray(weights, dtype=np.float64)
-    rows[rows.sum(axis=1) == 0, 0] = 1.0
-    return rows / rows.sum(axis=1, keepdims=True)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from maskorder.core import final_tokens, validate_partition
 from maskorder.denoiser import LOG_FLOOR, MarkovDenoiser, extract_features
 from maskorder.merge import merge_trajectory
 from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
-from maskorder.orders import DecodeConfig, commit_token, decode, select_positions
+from maskorder.orders import DecodeConfig, decode, sample_tokens, select_positions
 
 
 class CountingDenoiser:
@@ -122,15 +122,17 @@ class TestIndicatorBatches:
         indicator = AlternatingIndicator()
         prompt = (0, 2)
         traj = ni_decode(den, indicator, prompt, 16, NIConfig(base=base, eps_phi=0.9, k1=3, k2=4))
-        # the per-position loop the batch code replaced, drawing from the
-        # generator in the same order: base picks, then every other position
+        # one token draw per step over every masked row, as decode makes it:
+        # the base picks commit theirs, the other rows carry theirs into the
+        # features and commit them where the gate fires
         rng = np.random.default_rng(base.seed)
         batches = iter(indicator.batches)
         for out, step in zip(den.outs, traj.steps):
             committed = dict(step)
-            picked = sorted(select_positions(out, base))
+            tokens = sample_tokens(out.dists, temperature, rng)
+            picked = select_positions(out, base)
             for pos in picked:
-                assert committed[pos - len(prompt)] == commit_token(out.row(pos), temperature, rng)
+                assert committed[pos - len(prompt)] == tokens[out.index_of(pos)]
             rest = [j for j, pos in enumerate(out.positions) if pos not in picked]
             if not rest:
                 continue
@@ -139,7 +141,7 @@ class TestIndicatorBatches:
             ranked = extract_features(out, rest, 3, 4)
             for i, j in enumerate(rest):
                 pos = out.positions[j] - len(prompt)
-                tok = commit_token(out.dists[j], temperature, rng)
+                tok = tokens[j]
                 assert features.top_tokens[i, 0] == tok
                 assert features.top_logits[i, 0] == np.log(max(out.dists[j, tok], LOG_FLOOR))
                 # the gate fired on odd rows only

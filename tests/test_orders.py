@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import permutation_chain, random_chain, sticky_chain
 from test_denoiser import distributions
-from maskorder.core import validate_partition
+from maskorder.core import final_tokens, validate_partition
 from maskorder.denoiser import LOG_FLOOR, DenoiserOutput, MarkovDenoiser
 from maskorder.orders import (
     RULES,
     DecodeConfig,
-    categorical_sample,
     decode,
     position_scores,
+    sample_tokens,
     select_positions,
 )
 
@@ -91,28 +92,68 @@ class TestSelectPositions:
         assert select_positions(out, DecodeConfig()) == [0]
 
 
-class TestCategoricalSample:
+class _RiggedGenerator:
+    """Stands in for a numpy Generator whose every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestSampleTokens:
+    def test_greedy_takes_the_argmax_of_every_row(self):
+        rows = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4]])
+        assert sample_tokens(rows, None, None).tolist() == [1, 0]
+
     def test_delta_row_is_deterministic(self):
         rng = np.random.default_rng(0)
-        assert all(
-            categorical_sample(np.array([0.0, 1.0]), 1.0, rng) == 1 for _ in range(20)
-        )
+        assert all(sample_tokens(np.array([[0.0, 1.0]]), 1.0, rng)[0] == 1 for _ in range(20))
 
     def test_reproducible_under_fixed_seed(self):
-        row = np.array([0.5, 0.5])
-        a = [categorical_sample(row, 1.0, np.random.default_rng(9)) for _ in range(1)]
-        b = [categorical_sample(row, 1.0, np.random.default_rng(9)) for _ in range(1)]
-        assert a == b
+        rows = np.full((6, 2), 0.5)
+        a = sample_tokens(rows, 1.0, np.random.default_rng(9))
+        b = sample_tokens(rows, 1.0, np.random.default_rng(9))
+        assert a.tolist() == b.tolist()
 
     def test_empirical_frequency(self):
         rng = np.random.default_rng(1)
-        row = np.array([0.9, 0.1])
-        draws = np.array([categorical_sample(row, 1.0, rng) for _ in range(100_000)])
+        rows = np.tile([0.9, 0.1], (100_000, 1))
+        draws = sample_tokens(rows, 1.0, rng)
         assert np.mean(draws == 0) == pytest.approx(0.9, abs=0.01)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
-            categorical_sample(np.array([1.0, 0.0]), 0.0, np.random.default_rng(0))
+            sample_tokens(np.array([[1.0, 0.0]]), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("temperature", [-1.0, float("inf"), float("nan")])
+    def test_rejects_a_negative_or_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError):
+            sample_tokens(np.array([[1.0, 0.0]]), temperature, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 100.0, 1e300])
+    def test_the_largest_uniform_draws_the_last_possible_token(self, temperature):
+        rows = np.array([[0.3, 0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0]])
+        tokens = sample_tokens(rows, temperature, _RiggedGenerator(1.0 - 2.0**-53))
+        assert tokens.tolist() == [1, 0, 3, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distributions(),
+        st.floats(0.05, 1e6),
+        st.sampled_from([0.0, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_never_draws_a_token_of_probability_zero(self, rows, temperature, u):
+        tokens = sample_tokens(rows, temperature, _RiggedGenerator(u))
+        assert np.all(rows[np.arange(len(rows)), tokens] > 0)
+
+    def test_one_call_advances_the_generator_as_one_uniform_per_row(self):
+        rows = np.random.default_rng(3).dirichlet(np.ones(5), size=7)
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        sample_tokens(rows, 1.3, rng)
+        reference.random(7)
+        assert rng.random(3).tolist() == reference.random(3).tolist()
 
 
 class TestDecode:
@@ -160,6 +201,14 @@ class TestDecode:
             for eps in (0.9, 0.7, 0.5, 0.3)
         ]
         assert counts == sorted(counts, reverse=True)
+
+    def test_random_decodes_never_commit_an_impossible_token(self):
+        model = permutation_chain(4)
+        den = MarkovDenoiser(model)
+        for seed in range(200):
+            cfg = DecodeConfig(threshold=0.9 if seed % 2 else None, temperature=100.0, seed=seed)
+            tokens = (0, *final_tokens(decode(den, (0,), 8, cfg)))
+            assert all(model.transition[a, b] > 0 for a, b in zip(tokens, tokens[1:]))
 
     def test_random_mode_varies_with_seed(self):
         den = MarkovDenoiser(sticky_chain(4, 0.5))
