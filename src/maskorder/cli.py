@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .core import SampleRecord, Vocabulary, final_tokens, load_records, save_records
-from .denoiser import MarkovDenoiser, MarkovModel, ReplayDenoiser, TemperedDenoiser
+from .core import SampleRecord, final_tokens, load_records, save_records
+from .denoiser import DenoiserError, MarkovDenoiser, MarkovModel, ReplayDenoiser, TemperedDenoiser
 from .indicator import (
     IndicatorConfig,
     IndicatorModel,
@@ -29,7 +29,7 @@ from .indicator import (
 from .labeling import LabelingConfig, build_dataset, load_dataset, save_dataset
 from .merge import final_results_preserving, merge_trajectory
 from .ni_sampler import NIConfig
-from .orders import DecodeConfig, decode
+from .orders import RULES, DecodeConfig, decode
 
 
 def _add_denoiser_args(p):
@@ -57,21 +57,6 @@ def _decode_cfg(args):
     return DecodeConfig(
         rule=args.rule, threshold=threshold, temperature=args.temperature, seed=args.seed
     )
-
-
-def cmd_gen_data(args):
-    model, den = _build_denoiser(args)
-    records = harness.gen_data(
-        den,
-        model,
-        prompt_len=args.prompt_len,
-        gen_len=args.gen_len,
-        count=args.count,
-        cfg=_decode_cfg(args),
-        seed=args.seed,
-    )
-    save_records(records, args.out)
-    print(f"wrote {len(records)} trajectories to {args.out}")
 
 
 def cmd_label(args):
@@ -110,6 +95,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
+    """`sample`, and `gen-data`, whose samplers are `sample`'s full and threshold."""
     model, den = _build_denoiser(args)
     if args.sampler == "merge-oracle":
         references = load_records(args.traj)
@@ -189,15 +175,21 @@ def cmd_sweep(args):
 
 
 def cmd_replay(args):
-    den = ReplayDenoiser(args.log, Vocabulary(args.vocab_size), strict=args.strict)
+    den = ReplayDenoiser(args.log)
     references = load_records(args.traj)
+    for ref in references:
+        if ref.vocab != den.vocab:
+            raise DenoiserError(
+                f"{args.traj}: record {ref.id!r} has vocab_size {ref.vocab.size}, "
+                f"the log {args.log} has V={den.vocab.size}"
+            )
     mismatches = 0
     records = []
     for ref in references:
         cfg = DecodeConfig(
             rule=args.rule,
             threshold=args.epsilon if args.sampler == "threshold" else None,
-            seed=ref.trajectory.meta.get("seed", args.seed),
+            seed=ref.trajectory.meta["seed"],
         )
         traj = decode(den, ref.prompt, ref.gen_len, cfg)
         records.append(SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, traj))
@@ -230,14 +222,14 @@ def build_parser():
     _add_denoiser_args(p)
     common(p)
     p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
-    p.add_argument("--rule", choices=["prob", "margin", "negentropy"], default="prob")
+    p.add_argument("--rule", choices=RULES, default="prob")
     p.add_argument("--epsilon", type=float, default=0.8)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--prompt-len", type=int, default=8)
     p.add_argument("--gen-len", type=int, default=32)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("label", help="build indicator training data from trajectories")
     _add_denoiser_args(p)
@@ -266,7 +258,7 @@ def build_parser():
     _add_denoiser_args(p)
     common(p)
     p.add_argument("--sampler", choices=["full", "threshold", "ni", "merge-oracle"], required=True)
-    p.add_argument("--rule", choices=["prob", "margin", "negentropy"], default="prob")
+    p.add_argument("--rule", choices=RULES, default="prob")
     p.add_argument("--epsilon", type=float, default=0.9)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, default=10)
@@ -281,7 +273,6 @@ def build_parser():
 
     p = sub.add_parser("analyze-merge", help="merge analyses over recorded trajectories")
     _add_denoiser_args(p)
-    common(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--mode", choices=["traj", "final"], default="traj")
     p.add_argument("--report", required=True)
@@ -299,20 +290,16 @@ def build_parser():
     p.add_argument("--summary", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("replay", help="re-decode trajectories from a distribution log")
-    common(p)
-    p.add_argument("--log", required=True)
+    p = sub.add_parser("replay", help="re-decode trajectories from a recorded replay archive")
+    p.add_argument("--log", required=True, help="archive written by denoiser.RecordingDenoiser")
     p.add_argument("--traj", required=True)
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--strict", action="store_true", help="key rows by query order, not state hash")
     p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
-    p.add_argument("--rule", choices=["prob", "margin", "negentropy"], default="prob")
+    p.add_argument("--rule", choices=RULES, default="prob")
     p.add_argument("--epsilon", type=float, default=0.8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("self-bleu", help="diversity of final sequences in a trajectory file")
-    common(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--n", type=int, choices=[1, 2], default=1)
     p.set_defaults(func=cmd_self_bleu)
@@ -370,8 +357,12 @@ def _check(parser, args) -> None:
     """Reject flag values and combinations that argparse cannot express."""
     if getattr(args, "dtemp", None) is not None and not 0 < args.dtemp < np.inf:
         parser.error(f"--dtemp must be positive and finite, got {args.dtemp}")
-    if getattr(args, "prompt_len", 0) < 0:
-        parser.error(f"invalid value {args.prompt_len} for --prompt-len: must be nonnegative")
+    if not 0 <= getattr(args, "dnoise", 0.0) < np.inf:
+        parser.error(f"--dnoise must be nonnegative and finite, got {args.dnoise}")
+    for dest, least in (("prompt_len", 0), ("count", 1), ("gen_len", 1), ("cuts", 1)):
+        if getattr(args, dest, least) < least:
+            must = "nonnegative" if least == 0 else "positive"
+            parser.error(f"invalid value {getattr(args, dest)} for --{dest.replace('_', '-')}: must be {must}")
     for dest, (config, name) in _CHECKED_OPTIONS.items():
         if getattr(args, dest, None) is not None:
             try:

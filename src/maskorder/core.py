@@ -243,11 +243,17 @@ class SampleRecord:
 
     @staticmethod
     def from_json(line: str) -> "SampleRecord":
-        """Parse one JSONL record; its steps must partition range(gen_len) and
-        its prompt and tokens must lie in the vocabulary."""
+        """Parse one JSONL record; ValueError naming the record id when a key is
+        missing or mistyped, its steps do not partition range(gen_len) or a
+        prompt or step token lies outside the vocabulary."""
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        bad = [key for key, ok in _RECORD_KEYS.items() if key not in d or not ok(d[key])]
+        if bad:
+            raise ValueError(f"record {d.get('id')!r}: keys {bad} are missing or invalid")
         traj = Trajectory(
-            tuple(frozenset((p, t) for p, t in step) for step in d["steps"]),
+            tuple(frozenset(map(tuple, step)) for step in d["steps"]),
             meta={"sampler": d["sampler"], "seed": d["seed"], "denoiser": d["denoiser"]},
         )
         vocab = Vocabulary(d["vocab_size"])
@@ -256,19 +262,33 @@ class SampleRecord:
             raise ValueError(
                 f"record {d['id']!r}: steps are not a partition of range({d['gen_len']}): {report.violations}"
             )
-        tokens = list(d["prompt"]) + [t for step in traj.steps for _, t in step]
+        tokens = d["prompt"] + [t for step in traj.steps for _, t in step]
         outside = sorted({t for t in tokens if not vocab.is_token(t)})
         if outside:
             raise ValueError(
                 f"record {d['id']!r}: tokens {outside} outside the vocabulary of size {vocab.size}"
             )
-        return SampleRecord(
-            id=d["id"],
-            vocab=vocab,
-            prompt=tuple(d["prompt"]),
-            gen_len=d["gen_len"],
-            trajectory=traj,
-        )
+        return SampleRecord(d["id"], vocab, tuple(d["prompt"]), d["gen_len"], traj)
+
+
+def _is_int(value, least=-np.inf) -> bool:
+    return type(value) is int and value >= least  # a bool or a float like 1.5 is not an int here
+
+
+def _ints(value, length=None) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value)) and length in (None, len(value))
+
+
+_RECORD_KEYS = {  # trajectory JSONL key -> check of its value
+    "id": lambda v: isinstance(v, str),
+    "vocab_size": lambda v: _is_int(v, 2),
+    "prompt": _ints,
+    "gen_len": lambda v: _is_int(v, 0),
+    "steps": lambda v: isinstance(v, list) and all(isinstance(s, list) and all(_ints(p, 2) for p in s) for s in v),
+    "sampler": lambda v: isinstance(v, str),
+    "seed": _is_int,
+    "denoiser": lambda v: isinstance(v, str),
+}
 
 
 def save_records(records: Iterable[SampleRecord], path) -> None:
@@ -278,8 +298,17 @@ def save_records(records: Iterable[SampleRecord], path) -> None:
 
 
 def load_records(path) -> list:
+    """Every record of a trajectory JSONL file; a ValueError from a line is
+    prefixed with `path:line`."""
+    records = []
     with open(path) as fh:
-        return [SampleRecord.from_json(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(SampleRecord.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def save_archive(path, arrays: dict, meta: dict) -> None:

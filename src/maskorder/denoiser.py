@@ -7,7 +7,7 @@ nearest observed neighbours, so every row is a product of two rows of cached
 transition powers T^k. Each MarkovModel caches T^k and pi*T^k for k below the
 longest sequence length L it has been queried with (L*V^2 floats, freed with
 the model). A temperature/noise wrapper simulates imperfect predictions, and
-a replay denoiser serves rows from a recorded log.
+a replay denoiser serves rows from a recorded archive.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedSequence, Vocabulary
+from .core import MaskedSequence, Vocabulary, load_archive, save_archive
 
 LOG_FLOOR = 1e-12  # deterministic chains produce exact zeros
 
@@ -263,8 +263,8 @@ def temper(
     """
     if not 0 < temperature < np.inf:
         raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
-    if noise_scale < 0:
-        raise DenoiserError("noise_scale must be nonnegative")
+    if not 0 <= noise_scale < np.inf:
+        raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
     with np.errstate(divide="ignore"):  # log 0 = -inf keeps a zero at zero
         logp = np.log(out.dists) / temperature
     if noise_scale > 0:
@@ -317,6 +317,8 @@ class TemperedDenoiser:
     def __init__(self, inner, temperature: float = 1.0, noise_scale: float = 0.0, seed: int = 0):
         if not 0 < temperature < np.inf:
             raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
+        if not 0 <= noise_scale < np.inf:
+            raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
         self.inner = inner
         self.temperature = temperature
         self.noise_scale = noise_scale
@@ -333,37 +335,36 @@ class TemperedDenoiser:
 
 
 class RecordingDenoiser:
-    """Pass-through wrapper that appends every served row to a JSONL log."""
+    """Pass-through wrapper that keeps the output of each distinct queried
+    state and on close writes them as one archive (core.save_archive):
+    `state` holds Q state hashes in query order, query q owns rows
+    offsets[q]:offsets[q+1] of `positions` (R,), `rows` (R, V) and `hidden`
+    (R, F), and the meta is {"V", "F", "denoiser"}."""
 
     def __init__(self, inner, path):
         self.inner = inner
+        self.path = path
         self.vocab = inner.vocab
         self.feature_dim = inner.feature_dim
         self.config_id = inner.config_id
-        self._fh = open(path, "w")
-        self._step = 0
+        self._outputs: dict = {}
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         out = self.inner.query(seq)
-        h = state_hash(seq)
-        for j, pos in enumerate(out.positions):
-            self._fh.write(
-                json.dumps(
-                    {
-                        "id": h,
-                        "step": self._step,
-                        "pos": pos,
-                        "row": out.dists[j].tolist(),
-                        "hidden": out.features[j].tolist(),
-                    }
-                )
-                + "\n"
-            )
-        self._step += 1
+        self._outputs.setdefault(state_hash(seq), out)
         return out
 
     def close(self) -> None:
-        self._fh.close()
+        outs = list(self._outputs.values())
+        V, F = self.vocab.size, self.feature_dim
+        arrays = {
+            "state": np.array(list(self._outputs), dtype=str),
+            "offsets": np.cumsum([0] + [len(out.positions) for out in outs], dtype=np.int64),
+            "positions": np.array([pos for out in outs for pos in out.positions], dtype=np.int64),
+            "rows": np.concatenate([np.empty((0, V))] + [out.dists for out in outs]),
+            "hidden": np.concatenate([np.empty((0, F))] + [out.features for out in outs]),
+        }
+        save_archive(self.path, arrays, {"V": V, "F": F, "denoiser": self.config_id})
 
     def __enter__(self):
         return self
@@ -374,77 +375,54 @@ class RecordingDenoiser:
 
 
 class ReplayDenoiser:
-    """Serves recorded distribution rows instead of computing them.
+    """Serves the outputs a RecordingDenoiser archived, keyed by state hash,
+    so any decode or merge analysis that revisits recorded states replays
+    exactly. V and F come from the archive's meta. Other arrays, dtypes or
+    shapes, offsets that do not rise strictly from 0 to the row count,
+    positions out of order within a query or a state recorded twice raise
+    DenoiserError naming the path."""
 
-    In the default mode rows are keyed by (state hash, position), so any
-    decode that revisits logged states replays exactly. In strict mode rows
-    are keyed by (query index, position) and queries must arrive in the
-    logged order.
-    """
-
-    def __init__(self, path, vocab: Vocabulary, strict: bool = False):
-        self.vocab = vocab
-        self.strict = strict
+    def __init__(self, path):
+        try:
+            arrays, meta = load_archive(path)
+        except ValueError as exc:
+            raise DenoiserError(str(exc)) from None
+        V, F = meta.get("V"), meta.get("F")
+        if type(V) is not int or type(F) is not int or V < 2 or F < 1:
+            raise DenoiserError(f"{path}.meta.json: lacks V >= 2 and F >= 1 as integers")
+        names = ("state", "offsets", "positions", "rows", "hidden")
+        if set(arrays) != set(names):
+            raise DenoiserError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(names)}")
+        Q, R = arrays["state"].size, arrays["positions"].size
+        shapes = [("U", (Q,)), ("i", (Q + 1,)), ("i", (R,)), ("f", (R, V)), ("f", (R, F))]
+        for name, (kind, shape) in zip(names, shapes):
+            if arrays[name].dtype.kind != kind or arrays[name].shape != shape:
+                raise DenoiserError(
+                    f"{path}: column {name} has dtype {arrays[name].dtype} and shape "
+                    f"{arrays[name].shape}, expected kind {kind!r} and shape {shape}"
+                )
+        state, offsets, positions, rows, hidden = (arrays[name] for name in names)
+        if offsets[0] != 0 or offsets[-1] != R or np.any(np.diff(offsets) < 1):
+            raise DenoiserError(f"{path}: offsets must rise strictly from 0 to the row count {R}")
+        first = np.zeros(R + 1, dtype=bool)
+        first[offsets] = True  # where each query's rows start
+        if np.any(positions < 0) or np.any((np.diff(positions) < 1) & ~first[1:R]):
+            raise DenoiserError(f"{path}: positions must be nonnegative and ascending within each query")
+        if np.unique(state).size != Q:
+            raise DenoiserError(f"{path}: a state is recorded twice")
+        rows.flags.writeable = hidden.flags.writeable = False  # one output serves each repeat of its state
+        bounds = zip(state.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        self._outputs = {
+            h: DenoiserOutput(tuple(positions[a:b].tolist()), rows[a:b], hidden[a:b]) for h, a, b in bounds
+        }
+        self.vocab = Vocabulary(V)
+        self.feature_dim = F
         self.config_id = f"replay:{path}"
-        self._by_hash: dict = {}
-        self._by_step: dict = {}
-        self.feature_dim = None
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    h, step, pos, row, hidden = self._parse_line(line, vocab.size)
-                except (ValueError, TypeError) as exc:
-                    raise DenoiserError(f"{path}:{lineno}: {exc}") from None
-                if self.feature_dim is None:
-                    self.feature_dim = hidden.shape[0]
-                elif hidden.shape[0] != self.feature_dim:
-                    raise DenoiserError(
-                        f"{path}:{lineno}: hidden width {hidden.shape[0]} differs from "
-                        f"the log's first entry ({self.feature_dim})"
-                    )
-                self._by_hash[(h, pos)] = (row, hidden)
-                self._by_step[(step, pos)] = (row, hidden)
-        self._query_idx = 0
-
-    @staticmethod
-    def _parse_line(line: str, V: int) -> tuple:
-        """(state hash, step, pos, row, hidden) from one RecordingDenoiser
-        line; ValueError or TypeError when it is not one."""
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        missing = [k for k in ("id", "step", "pos", "row", "hidden") if k not in d]
-        if missing:
-            raise ValueError(f"missing keys {missing}")
-        if not isinstance(d["id"], str) or type(d["step"]) is not int or type(d["pos"]) is not int:
-            raise ValueError("expected a string id and integer step and pos")
-        row = np.asarray(d["row"], dtype=np.float64)
-        hidden = np.asarray(d["hidden"], dtype=np.float64)
-        if row.shape != (V,):
-            raise ValueError(f"vocabulary mismatch: log row has shape {row.shape}, configured V={V}")
-        if hidden.ndim != 1:
-            raise ValueError(f"hidden must be a vector, got shape {hidden.shape}")
-        return d["id"], d["step"], d["pos"], row, hidden
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
-        masked = seq.masked_positions()
-        if not masked:
-            raise DenoiserError("sequence has no masked positions")
-        if self.strict:
-            key_of = lambda pos: (self._query_idx, pos)
-        else:
-            h = state_hash(seq)
-            key_of = lambda pos: (h, pos)
-        table = self._by_step if self.strict else self._by_hash
-        rows, hiddens = [], []
-        for pos in masked:
-            key = key_of(pos)
-            if key not in table:
-                raise DenoiserError(f"no recorded distribution for {key}")
-            row, hidden = table[key]
-            rows.append(row)
-            hiddens.append(hidden)
-        self._query_idx += 1
-        return DenoiserOutput(tuple(masked), np.stack(rows), np.stack(hiddens))
+        if seq.vocab != self.vocab:
+            raise DenoiserError(f"vocabulary mismatch: log V={self.vocab.size}, sequence V={seq.vocab.size}")
+        h = state_hash(seq)
+        if h not in self._outputs:
+            raise DenoiserError(f"no recorded distribution for state {h}")
+        return self._outputs[h]

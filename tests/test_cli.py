@@ -1,12 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import sticky_chain
-from maskorder.cli import main
-from maskorder.core import SampleRecord, Trajectory, final_tokens, load_records, save_records
-from maskorder.denoiser import MarkovDenoiser, RecordingDenoiser
+from maskorder.cli import _check, build_parser, main
+from maskorder.core import SampleRecord, Trajectory, Vocabulary, final_tokens, load_records, save_records
+from maskorder.denoiser import DenoiserError, MarkovDenoiser, RecordingDenoiser
 from maskorder.indicator import CheckpointError, IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
 from maskorder.labeling import load_dataset
 from maskorder.orders import DecodeConfig, decode
@@ -99,7 +102,7 @@ class TestPipeline:
 class TestReplayCommand:
     def _log_and_records(self, tmp_path):
         den = MarkovDenoiser(sticky_chain(4, 0.85))
-        log = tmp_path / "dist.jsonl"
+        log = tmp_path / "dist.npz"
         records = []
         with RecordingDenoiser(den, log) as rec_den:
             for i in range(3):
@@ -111,7 +114,7 @@ class TestReplayCommand:
 
     def test_faithful_replay_exits_cleanly(self, tmp_path, capsys):
         log, path, _ = self._log_and_records(tmp_path)
-        run("replay", "--log", str(log), "--traj", str(path), "--vocab-size", "4")
+        run("replay", "--log", str(log), "--traj", str(path))
         assert "0 differ" in capsys.readouterr().out
 
     def test_mismatch_exits_nonzero(self, tmp_path):
@@ -124,8 +127,36 @@ class TestReplayCommand:
         )
         save_records(records, path)
         with pytest.raises(SystemExit) as exc:
-            run("replay", "--log", str(log), "--traj", str(path), "--vocab-size", "4")
+            run("replay", "--log", str(log), "--traj", str(path))
         assert exc.value.code == 1
+
+    def test_record_with_another_vocabulary_is_rejected_by_id(self, tmp_path):
+        log, path, records = self._log_and_records(tmp_path)
+        ref = records[1]
+        records[1] = SampleRecord(ref.id, Vocabulary(5), ref.prompt, ref.gen_len, ref.trajectory)
+        save_records(records, path)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(DenoiserError, match=r"record 'r1' has vocab_size 5, the log .*dist\.npz has V=4"):
+            run("replay", "--log", str(log), "--traj", str(path), "--out", str(out))
+        assert not out.exists()
+
+    def test_malformed_log_names_the_file(self, tmp_path):
+        _, path, _ = self._log_and_records(tmp_path)
+        with pytest.raises(DenoiserError, match=r"traj\.jsonl: not an intact \.npz archive"):
+            run("replay", "--log", str(path), "--traj", str(path))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("replay", "--log", "l", "--traj", "t", "--vocab-size", "4"),
+            ("replay", "--log", "l", "--traj", "t", "--strict"),
+            ("replay", "--log", "l", "--traj", "t", "--seed", "1"),
+            ("analyze-merge", "--denoiser", "c", "--traj", "t", "--report", "r", "--seed", "1"),
+            ("self-bleu", "--traj", "t", "--seed", "1"),
+        ],
+    )
+    def test_options_that_were_never_read_are_gone(self, capsys, argv):
+        assert "unrecognized arguments" in _usage_error(capsys, *argv)
 
 
 class TestConfigDefaults:
@@ -243,11 +274,11 @@ class TestConfigValidation:
 
     def test_store_true_option_needs_a_boolean(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"strict": "yes"}))
+        cfg.write_text(json.dumps({"timings": "yes"}))
         err = _usage_error(
-            capsys, "--config", str(cfg), "replay", "--log", "l", "--traj", "t", "--vocab-size", "4"
+            capsys, "--config", str(cfg), "sweep", "--denoiser", "c", "--ckpt", "k", "--out", "o", "--summary", "s"
         )
-        assert "invalid value 'yes' for --strict" in err
+        assert "invalid value 'yes' for --timings" in err
 
     def test_values_are_converted_like_flags(self, tmp_path, chain_file):
         cfg = tmp_path / "defaults.json"
@@ -324,6 +355,29 @@ class TestUsageErrors:
         )
         assert "--dtemp must be positive" in err
 
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
+    def test_negative_or_non_finite_dnoise_is_rejected(self, tmp_path, chain_file, capsys, value):
+        argv = ("gen-data", "--denoiser", chain_file, "--count", "1", "--out", str(tmp_path / "a.jsonl"))
+        err = _usage_error(capsys, *argv, "--dnoise", value)
+        assert f"--dnoise must be nonnegative and finite, got {float(value)}" in err
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"dnoise": value}))
+        err = _usage_error(capsys, "--config", str(cfg), *argv)
+        assert "--dnoise must be nonnegative and finite" in err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gen-data", "--count", "0", "--out", "a.jsonl"), "invalid value 0 for --count: must be positive"),
+            (("label", "--traj", "t.jsonl", "--cuts", "0", "--out", "d.npz"), "invalid value 0 for --cuts: must be positive"),
+        ],
+        ids=["gen-data-count", "label-cuts"],
+    )
+    def test_a_zero_count_is_rejected(self, tmp_path, chain_file, capsys, argv, message):
+        # gen-data's --count is required, so it can only come as a flag
+        assert message in _usage_error(capsys, argv[0], "--denoiser", chain_file, *argv[1:])
+
     def test_ni_sampler_needs_a_checkpoint(self, tmp_path, chain_file, capsys):
         err = _usage_error(
             capsys, "sample", "--denoiser", chain_file, "--sampler", "ni",
@@ -373,6 +427,9 @@ class TestUsageErrors:
             ("sample", "--eps-phi", "1.5", "eps_phi must be in [0, 1]"),
             ("sample", "--prompt-len", "-1", "must be nonnegative"),
             ("sweep", "--prompt-len", "-2", "must be nonnegative"),
+            ("gen-data", "--gen-len", "0", "must be positive"),
+            *((command, flag, "0", "must be positive") for command in ("sample", "sweep") for flag in ("--count", "--gen-len")),
+            ("sample", "--count", "-3", "must be positive"),
         ],
     )
     def test_decode_values_are_checked(self, tmp_path, chain_file, capsys, command, flag, value, message):
@@ -385,7 +442,7 @@ class TestUsageErrors:
         err = _usage_error(capsys, command, "--denoiser", chain_file, flag, value, *argv)
         assert f"invalid value {value} for {flag}: {message}" in err
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({flag[2:]: int(value) if flag == "--prompt-len" else float(value)}))
+        cfg.write_text(json.dumps({flag[2:]: int(value) if flag in ("--prompt-len", "--count", "--gen-len") else float(value)}))
         err = _usage_error(capsys, "--config", str(cfg), command, "--denoiser", chain_file, *argv)
         assert f"for {flag}: {message}" in err
         assert not out.exists()
@@ -437,3 +494,25 @@ class TestRandomMode:
             )
             finals.append([final_tokens(r.trajectory) for r in load_records(out)])
         assert finals[0] != finals[1]
+
+
+def _readme_commands():
+    """Every `maskorder ...` command in the README's fenced sh blocks, with
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("maskorder "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_the_readme_has_a_walkthrough():
+    assert len(_readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_parse(argv):
+    parser = build_parser()
+    _check(parser, parser.parse_args(argv))

@@ -231,8 +231,48 @@ class TestRecordValidation:
     def test_load_records_rejects_a_truncated_trajectory(self, tmp_path):
         d = json.loads(self._line())
         path = tmp_path / "traj.jsonl"
-        path.write_text(self._line() + "\n" + self._line(id="r8", steps=d["steps"][:-1]) + "\n")
-        with pytest.raises(ValueError, match="record 'r8'"):
+        path.write_text(self._line() + "\n\n" + self._line(id="r8", steps=d["steps"][:-1]) + "\n")
+        with pytest.raises(ValueError, match=r"traj\.jsonl:3: record 'r8'"):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.pop("sampler"), r"record 'r7': keys \['sampler'\] are missing or invalid"),
+            (lambda d: [d.pop(k) for k in ("seed", "denoiser")], r"record 'r7': keys \['seed', 'denoiser'\] are missing"),
+            (lambda d: d.pop("id"), r"record None: keys \['id'\] are missing"),
+            (lambda d: d["steps"][2].__setitem__(0, [2, 1.5]), r"record 'r7': keys \['steps'\] are missing or invalid"),
+            (lambda d: d["steps"][2].__setitem__(0, [2, 1, 2]), r"record 'r7': keys \['steps'\] are missing or invalid"),
+            (lambda d: d["steps"].__setitem__(2, [2, 1]), r"record 'r7': keys \['steps'\] are missing or invalid"),
+            (lambda d: d["steps"][2].__setitem__(0, [2, True]), r"record 'r7': keys \['steps'\] are missing or invalid"),
+            (lambda d: d.update(prompt=[1.0, 2]), r"record 'r7': keys \['prompt'\]"),
+            (lambda d: d.update(gen_len="8", seed=None), r"record 'r7': keys \['gen_len', 'seed'\]"),
+            (lambda d: d.update(id=7), r"record 7: keys \['id'\]"),
+            (lambda d: d.update(vocab_size=1), r"record 'r7': keys \['vocab_size'\]"),
+            (lambda d: d.update(gen_len=-1), r"record 'r7': keys \['gen_len'\]"),
+        ],
+        ids=[
+            "no-sampler", "no-seed-denoiser", "no-id", "float-token", "triple", "flat-step", "bool-token",
+            "float-prompt", "string-gen-len", "int-id", "vocab-size-1", "negative-gen-len",
+        ],
+    )
+    def test_malformed_record_names_the_record(self, change, message):
+        d = json.loads(self._line())
+        change(d)
+        with pytest.raises(ValueError, match=message):
+            SampleRecord.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"r7"', "7"])
+    def test_a_line_that_is_not_an_object_names_the_line(self, tmp_path, text):
+        path = tmp_path / "traj.jsonl"
+        path.write_text(self._line() + "\n" + text + "\n")
+        with pytest.raises(ValueError, match=r"traj\.jsonl:2: expected a JSON object"):
+            load_records(path)
+
+    def test_bad_json_names_the_line(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text(self._line()[:-5] + "\n")
+        with pytest.raises(ValueError, match=r"traj\.jsonl:1: Expecting"):
             load_records(path)
 
 

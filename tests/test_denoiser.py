@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_posterior, permutation_chain, random_chain, sticky_chain
-from maskorder.core import MaskedSequence, Vocabulary
+from maskorder.core import MaskedSequence, Vocabulary, load_archive, save_archive
 from maskorder.denoiser import (
     LOG_FLOOR,
     DenoiserError,
@@ -22,7 +23,8 @@ from maskorder.denoiser import (
     markov_posterior,
     temper,
 )
-from maskorder.orders import DecodeConfig, decode
+from maskorder.merge import final_results_preserving, merge_trajectory
+from maskorder.orders import RULES, DecodeConfig, decode
 
 M = 8  # mask id for V=8 cases
 
@@ -343,6 +345,13 @@ class TestTemper:
         with pytest.raises(DenoiserError):
             TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), temperature)
 
+    @pytest.mark.parametrize("noise_scale", [-0.5, np.inf, np.nan])
+    def test_rejects_a_negative_or_non_finite_noise_scale(self, noise_scale):
+        with pytest.raises(DenoiserError, match="noise_scale must be nonnegative and finite"):
+            temper(self.out, 1.0, noise_scale, np.random.default_rng(0))
+        with pytest.raises(DenoiserError, match="noise_scale must be nonnegative and finite"):
+            TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.0, noise_scale)
+
     @settings(max_examples=40, deadline=None)
     @given(distributions(), st.floats(0.05, 1e6), st.floats(0.0, 2.0))
     def test_zeros_stay_exactly_zero(self, rows, temperature, noise_scale):
@@ -438,66 +447,143 @@ class TestDenoiserOutput:
                 out.index_of(pos)
 
 
+def _decode_and_merge(den, prompts, gen_len, cfg):
+    """Every trajectory and merge report a decode of each prompt and both
+    merge analyses of it produce through den."""
+    results = []
+    for prompt in prompts:
+        traj = decode(den, prompt, gen_len, cfg)
+        base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
+        merged, report = merge_trajectory(traj, base, den)
+        final, final_report = final_results_preserving(traj, base, den)
+        results.append((traj.steps, merged.steps, report, final.steps, final_report))
+    return results
+
+
+def _flip_a_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _swap_first_positions(arrays, meta):
+    arrays["positions"][[0, 1]] = arrays["positions"][[1, 0]]
+
+
 class TestReplay:
     def test_round_trip_reproduces_the_decode_exactly(self, tmp_path):
         model = sticky_chain(4, 0.85)
-        log = tmp_path / "dist.jsonl"
+        log = tmp_path / "dist.npz"
         cfg = DecodeConfig(threshold=0.8, seed=1)
         prompt = (2, 2)
         with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:
             reference = decode(rec_den, prompt, 8, cfg)
-        replay = ReplayDenoiser(log, Vocabulary(4))
+        replay = ReplayDenoiser(log)
+        assert (replay.vocab.size, replay.feature_dim) == (4, 7)
         assert decode(replay, prompt, 8, cfg).steps == reference.steps
 
-    def test_strict_mode_round_trip(self, tmp_path):
-        model = sticky_chain(4, 0.85)
-        log = tmp_path / "dist.jsonl"
-        cfg = DecodeConfig(seed=0)
-        with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:
-            reference = decode(rec_den, (1,), 6, cfg)
-        replay = ReplayDenoiser(log, Vocabulary(4), strict=True)
-        assert decode(replay, (1,), 6, cfg).steps == reference.steps
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chain=st.sampled_from(["sticky", "random", "permutation"]),
+        tempered=st.booleans(),
+        rule=st.sampled_from(RULES),
+        threshold=st.sampled_from([None, 0.6, 0.9]),
+        temperature=st.sampled_from([None, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_replay_reproduces_decodes_and_merge_analyses(
+        self, tmp_path_factory, chain, tempered, rule, threshold, temperature, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = CHAINS[chain](5, rng)
+        den = MarkovDenoiser(model)
+        if tempered:
+            den = TemperedDenoiser(den, temperature=1.5, noise_scale=0.4, seed=seed)
+        prompts = [model.sample_sequence(2, rng) for _ in range(3)]
+        cfg = DecodeConfig(rule=rule, threshold=threshold, temperature=temperature, seed=seed)
+        log = tmp_path_factory.mktemp("replay") / "log.npz"
+        with RecordingDenoiser(den, log) as recorder:
+            recorded = _decode_and_merge(recorder, prompts, 7, cfg)
+        assert recorded == _decode_and_merge(den, prompts, 7, cfg)
+        assert _decode_and_merge(ReplayDenoiser(log), prompts, 7, cfg) == recorded
+
+    def test_each_distinct_state_is_recorded_once(self, tmp_path):
+        den = MarkovDenoiser(sticky_chain(4, 0.85))
+        once, twice = tmp_path / "once.npz", tmp_path / "twice.npz"
+        for path, repeats in ((once, 1), (twice, 2)):
+            with RecordingDenoiser(den, path) as rec_den:
+                for _ in range(repeats):
+                    decode(rec_den, (1,), 6, DecodeConfig(seed=0))
+        arrays, meta = load_archive(twice)
+        assert arrays["state"].size == 6  # full-step decode: one query per position
+        assert meta == {"V": 4, "F": 7, "denoiser": "markov"}
+        assert once.read_bytes() == twice.read_bytes()
 
     def test_unknown_state_is_an_error(self, tmp_path):
-        log = tmp_path / "empty.jsonl"
-        log.write_text("")
-        replay = ReplayDenoiser(log, Vocabulary(4))
+        log = tmp_path / "empty.npz"
+        RecordingDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), log).close()
+        replay = ReplayDenoiser(log)
         with pytest.raises(DenoiserError, match="no recorded"):
             replay.query(MaskedSequence((1, 4), 1, Vocabulary(4)))
 
     def test_vocabulary_mismatch(self, tmp_path):
         model = sticky_chain(8, 0.9)
-        log = tmp_path / "dist.jsonl"
+        log = tmp_path / "dist.npz"
         with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:
             decode(rec_den, (1,), 4, DecodeConfig(seed=0))
-        with pytest.raises(DenoiserError, match=r"dist\.jsonl:1: vocabulary mismatch"):
-            ReplayDenoiser(log, Vocabulary(16))
+        with pytest.raises(DenoiserError, match="vocabulary mismatch: log V=8, sequence V=16"):
+            ReplayDenoiser(log).query(MaskedSequence((1, 16), 1, Vocabulary(16)))
 
-    GOOD = {"id": "ab", "step": 0, "pos": 1, "row": [0.25] * 4, "hidden": [0.0] * 7}
+    @pytest.fixture
+    def log(self, tmp_path):
+        log = tmp_path / "log.npz"
+        with RecordingDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), log) as rec_den:
+            decode(rec_den, (1, 2), 6, DecodeConfig(seed=0))
+        ReplayDenoiser(log)  # intact
+        return log
 
     @pytest.mark.parametrize(
-        "line, message",
+        "damage, message",
         [
-            ('{"id": "ab", "step": 0,', "Expecting"),
-            ("[1, 2]", "expected a JSON object, got list"),
-            (json.dumps({k: v for k, v in GOOD.items() if k != "row"}), r"missing keys \['row'\]"),
-            (json.dumps({k: v for k, v in GOOD.items() if k not in ("id", "pos")}), r"missing keys \['id', 'pos'\]"),
-            (json.dumps({**GOOD, "step": "0"}), "integer step"),
-            (json.dumps({**GOOD, "pos": 1.0}), "integer step and pos"),
-            (json.dumps({**GOOD, "id": 7}), "string id"),
-            (json.dumps({**GOOD, "row": ["x"] * 4}), "could not convert"),
-            (json.dumps({**GOOD, "row": {"a": 1}}), "float"),
-            (json.dumps({**GOOD, "row": [[0.25] * 4]}), "vocabulary mismatch"),
-            (json.dumps({**GOOD, "hidden": 0.0}), "hidden must be a vector"),
-            (json.dumps({**GOOD, "hidden": [0.0] * 6}), r"hidden width 6 differs from the log's first entry \(7\)"),
+            (lambda path: path.write_text('{"id": "ab", "step": 0}\n'), "not an intact .npz archive"),
+            (_flip_a_byte, "not an intact .npz archive"),
+            (lambda path: Path(f"{path}.meta.json").unlink(), r"meta file .*log\.npz\.meta\.json is missing"),
+        ],
+        ids=["not-an-archive", "flipped-byte", "missing-meta"],
+    )
+    def test_damaged_file_names_the_file(self, log, damage, message):
+        damage(log)
+        with pytest.raises(DenoiserError, match=rf"log\.npz.*{message}"):
+            ReplayDenoiser(log)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a, m: m.pop("V"), "lacks V >= 2 and F >= 1"),
+            (lambda a, m: m.update(F=7.0), "lacks V >= 2 and F >= 1"),
+            (lambda a, m: a.pop("hidden"), "holds arrays"),
+            (lambda a, m: a.update(step=np.zeros(3)), "holds arrays"),
+            (lambda a, m: a.update(state=np.arange(a["state"].size)), "column state has dtype int64"),
+            (lambda a, m: a.update(positions=a["positions"] * 1.0), "column positions has dtype float64"),
+            (lambda a, m: a.update(rows=a["rows"].astype(str)), "column rows has dtype <U"),
+            (lambda a, m: a.update(rows=np.pad(a["rows"], ((0, 0), (0, 1)))), r"column rows .*shape \(\d+, 4\)"),
+            (lambda a, m: a.update(hidden=a["hidden"][:, 1:]), r"column hidden .*shape \(\d+, 7\)"),
+            (lambda a, m: a.update(offsets=a["offsets"][:-1]), "column offsets"),
+            (lambda a, m: a.update(offsets=a["offsets"] + 1), "offsets must rise strictly from 0"),
+            (lambda a, m: a["offsets"].__setitem__(1, 0), "offsets must rise strictly from 0"),
+            (_swap_first_positions, "positions must be nonnegative and ascending"),
+            (lambda a, m: a["positions"].__setitem__(0, -1), "positions must be nonnegative and ascending"),
+            (lambda a, m: a["state"].__setitem__(1, a["state"][0]), "a state is recorded twice"),
         ],
         ids=[
-            "bad-json", "list", "no-row", "no-id-pos", "string-step", "float-pos", "int-id", "string-row",
-            "object-row", "matrix-row", "scalar-hidden", "narrower-hidden",
+            "meta-without-V", "float-F", "missing-column", "extra-column", "int-state", "float-positions",
+            "string-rows", "rows-wider-than-V", "hidden-narrower-than-F", "short-offsets",
+            "offsets-not-from-zero", "empty-query", "unsorted-positions", "negative-position", "duplicate-state",
         ],
     )
-    def test_malformed_line_names_the_file_and_line(self, tmp_path, line, message):
-        log = tmp_path / "dist.jsonl"
-        log.write_text(json.dumps(self.GOOD) + "\n\n" + line + "\n")
-        with pytest.raises(DenoiserError, match=rf"dist\.jsonl:3: .*{message}"):
-            ReplayDenoiser(log, Vocabulary(4))
+    def test_inconsistent_archive_names_the_file(self, log, change, message):
+        arrays, meta = load_archive(log)
+        change(arrays, meta)
+        save_archive(log, arrays, meta)
+        with pytest.raises(DenoiserError, match=rf"log\.npz(\.meta\.json)?: {message}"):
+            ReplayDenoiser(log)
