@@ -60,7 +60,10 @@ def _decode_cfg(args):
 
 
 def cmd_label(args):
-    _, den = _build_denoiser(args)
+    model, den = _build_denoiser(args)
+    for flag, value in (("--k1", args.k1), ("--k2", args.k2)):  # V is known only once the chain is loaded
+        if not 1 <= value <= model.V:
+            args.usage_error(f"invalid value {value} for {flag}: must lie in 1..{model.V}, the chain's vocabulary size")
     records = load_records(args.traj)
     rng = np.random.default_rng(args.seed)
     cfg = LabelingConfig(k1=args.k1, k2=args.k2, min_pos_prob=args.min_pos_prob)
@@ -240,7 +243,7 @@ def build_parser():
     p.add_argument("--k1", type=int, default=4)
     p.add_argument("--k2", type=int, default=8)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(func=cmd_label, usage_error=p.error)
 
     p = sub.add_parser("train", help="train the indicator on a labeled dataset")
     common(p)

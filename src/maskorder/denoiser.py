@@ -182,7 +182,7 @@ class FeatureBundle:
 def state_hash(seq: MaskedSequence) -> str:
     h = hashlib.sha256()
     h.update(bytes(f"{seq.prompt_len}|{seq.vocab.size}|", "ascii"))
-    h.update(np.asarray(seq.tokens, dtype=np.int64).tobytes())
+    h.update(np.fromiter(seq.tokens, np.int64, len(seq)).tobytes())
     return h.hexdigest()
 
 
@@ -195,16 +195,17 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
         P(X_i = v | unmasked) is proportional to T^(i-l)[a, v] * T^(r-i)[v, b],
 
     with (pi*T^i)[v] as the left factor when there is no left neighbour and 1
-    as the right factor when there is no right one. All rows come from one
-    gather over the model's cached powers (MarkovModel.transition_powers),
-    which hold L*V^2 floats for the longest length L queried. Prompt tokens
-    participate as ordinary observations. Evidence of zero probability raises
-    DenoiserError.
+    as the right factor when there is no right one, gathered from the model's
+    cached powers (MarkovModel.transition_powers). Prompt tokens are ordinary
+    observations. Evidence of zero probability raises DenoiserError. The rows
+    are the first V columns of the features; the last three are the distances
+    to the nearest observed neighbour on the left and on the right (over L,
+    1.0 where there is none) and the masked fraction.
     """
     V, L = model.V, len(seq)
-    tokens = np.asarray(seq.tokens)
+    tokens = np.fromiter(seq.tokens, np.int64, L)
     observed = tokens != seq.vocab.mask_id
-    pos = np.flatnonzero(~observed)
+    pos = (~observed).nonzero()[0]
     if not pos.size:
         raise DenoiserError("sequence has no masked positions")
     if seq.vocab.size != V:
@@ -212,41 +213,30 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     t_pows, pi_pows = model.transition_powers(L)
 
     # P(evidence) = (pi*T^o0)[t0] * prod T^(gap)[a, b] over consecutive observations
-    obs = np.flatnonzero(observed)
-    if obs.size and (
-        pi_pows[obs[0], tokens[obs[0]]] <= 0.0
-        or np.any(t_pows[np.diff(obs), tokens[obs[:-1]], tokens[obs[1:]]] <= 0.0)
-    ):
+    obs = observed.nonzero()[0]
+    seen = tokens[obs]
+    factors = t_pows[obs[1:] - obs[:-1], seen[:-1], seen[1:]]
+    if obs.size and min(pi_pows[obs[0], seen[0]], factors.min(initial=1.0)) <= 0.0:
         raise DenoiserError("observed sequence has zero probability under the chain")
 
-    # running extrema give the nearest observed index on each side, with
-    # sentinels (-1 / L) where no such neighbor exists
-    idx = np.arange(L)
-    left = np.maximum.accumulate(np.where(observed, idx, -1))[pos]
-    right = np.minimum.accumulate(np.where(observed, idx, L)[::-1])[::-1][pos]
-    has_left, has_right = left >= 0, right < L
+    # j counts the observations before each masked position and rises with it,
+    # so the first a rows have no left neighbour and the rows from b on no right one
+    j = obs.searchsorted(pos)
+    a, b = j.searchsorted(1), j.searchsorted(obs.size)
+    before, after = j[a:] - 1, j[:b]  # the neighbours' indices into obs
+    gap_left, gap_right = pos[a:] - obs[before], obs[after] - pos[:b]
 
-    p = pi_pows[pos]
-    p[has_left] = t_pows[(pos - left)[has_left], tokens[left[has_left]]]
-    p[has_right] *= t_pows[(right - pos)[has_right], :, tokens[right[has_right]]]
-    rows = p / p.sum(axis=1, keepdims=True)
-
-    features = _context_features(rows, pos, left, right, L, seq.gen_len)
+    features = np.empty((len(pos), V + 3))
+    rows = features[:, :V]
+    rows[:a] = pi_pows[pos[:a]]
+    rows[a:] = t_pows[gap_left, seen[before]]
+    rows[:b] *= t_pows[gap_right, :, seen[after]]
+    rows /= rows.sum(axis=1, keepdims=True)
+    features[:a, V] = features[b:, V + 1] = 1.0
+    features[a:, V] = gap_left / L
+    features[:b, V + 1] = gap_right / L
+    features[:, V + 2] = len(pos) / max(seq.gen_len, 1)
     return DenoiserOutput(tuple(pos.tolist()), rows, features)
-
-
-def _context_features(rows: np.ndarray, pos, left, right, L: int, gen_len: int) -> np.ndarray:
-    """Hidden-state stand-in: posterior row + positional context signals.
-
-    Layout is [row (V), left distance, right distance, masked fraction]; the
-    distances are to the nearest unmasked neighbor (index left/right, -1/L
-    where there is none), normalized by sequence length, and 1.0 when no such
-    neighbor exists.
-    """
-    dl = np.where(left >= 0, (pos - left) / L, 1.0)
-    dr = np.where(right < L, (right - pos) / L, 1.0)
-    masked_frac = np.full(len(pos), len(pos) / max(gen_len, 1))
-    return np.concatenate([rows, np.stack([dl, dr, masked_frac], axis=1)], axis=1)
 
 
 def temper(
@@ -258,22 +248,24 @@ def temper(
     """Flatten/sharpen rows and add log-space gaussian noise.
 
     Each row becomes softmax(log p / temperature + N(0, noise_scale)), so a
-    zero probability stays exactly zero; the leading V feature entries are
-    replaced by the new row, the context tail is kept.
+    zero probability stays exactly zero; the new rows overwrite the leading V
+    columns of a copy of the features, the context tail is kept.
     """
     if not 0 < temperature < np.inf:
         raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
     if not 0 <= noise_scale < np.inf:
         raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
     with np.errstate(divide="ignore"):  # log 0 = -inf keeps a zero at zero
-        logp = np.log(out.dists) / temperature
-    if noise_scale > 0:
-        logp = logp + rng.normal(0.0, noise_scale, size=logp.shape)
-    logp -= logp.max(axis=1, keepdims=True)
-    rows = np.exp(logp)
+        rows = np.log(out.dists)
+    if temperature != 1.0:  # dividing by exactly 1 changes no bit
+        rows /= temperature
+    if noise_scale > 0:  # the draws of rng.normal(0.0, noise_scale), without adding the 0.0
+        rows += noise_scale * rng.standard_normal(rows.shape)
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    V = rows.shape[1]
-    features = np.concatenate([rows, out.features[:, V:]], axis=1)
+    features = out.features.copy()
+    features[:, : rows.shape[1]] = rows
     return DenoiserOutput(out.positions, rows, features)
 
 
@@ -319,6 +311,8 @@ class TemperedDenoiser:
             raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
         if not 0 <= noise_scale < np.inf:
             raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+        if inner.feature_dim < inner.vocab.size:  # a replay archive may hold any F >= 1
+            raise DenoiserError(f"feature_dim {inner.feature_dim} < V={inner.vocab.size}: temper replaces V features")
         self.inner = inner
         self.temperature = temperature
         self.noise_scale = noise_scale

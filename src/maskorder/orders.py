@@ -50,7 +50,7 @@ class DecodeConfig:
 def position_scores(dists: np.ndarray, rule: str) -> np.ndarray:
     """Confidence score of every probability row; larger means more confident."""
     dists = np.asarray(dists)
-    if not (np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-6) and np.all(dists >= 0)):
+    if len(dists) and not (np.abs(dists.sum(axis=1) - 1.0).max() <= 1e-6 and dists.min() >= 0):  # NaN fails both
         raise ValueError("a row is not a normalized distribution")
     if rule == "prob":
         return dists.max(axis=1)
@@ -75,7 +75,8 @@ def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
         raise ValueError("no masked positions to select from")
     scores = position_scores(out.dists, cfg.rule)
     if cfg.threshold is not None:
-        confident = np.flatnonzero(out.dists.max(axis=1) >= cfg.threshold)
+        top1 = scores if cfg.rule == "prob" else out.dists.max(axis=1)
+        confident = np.flatnonzero(top1 >= cfg.threshold)
         if len(confident):
             return [out.positions[j] for j in confident]
     return [out.positions[int(np.argmax(scores))]]
@@ -105,13 +106,15 @@ def run_steps(denoiser, base: MaskedSequence, choose, max_steps: int) -> tuple:
     """
     state = base
     steps = []
-    while state.masked_positions():
+    masked = len(base.masked_positions())  # reveal rejects a position that is not masked
+    while masked:
         if len(steps) == max_steps:
             raise RuntimeError(f"decode exceeded its step budget of {max_steps}; the policy made no progress")
         out = denoiser.query(state)
         step = sorted(choose(out, state).items())
         steps.append(frozenset(step))
         state = state.reveal(step)
+        masked -= len(step)
     return tuple(steps)
 
 

@@ -378,6 +378,21 @@ class TestUsageErrors:
         # gen-data's --count is required, so it can only come as a flag
         assert message in _usage_error(capsys, argv[0], "--denoiser", chain_file, *argv[1:])
 
+    @pytest.mark.parametrize("flag, value", [("--k1", "9"), ("--k2", "5"), ("--k1", "0"), ("--k2", "-1")])
+    def test_label_k1_k2_beyond_the_vocabulary_are_rejected(self, tmp_path, capsys, flag, value):
+        chain, traj, out = (str(tmp_path / name) for name in ("chain4.json", "t.jsonl", "d.npz"))
+        sticky_chain(4, 0.9).save(chain)
+        run("gen-data", "--denoiser", chain, "--count", "2", "--gen-len", "6", "--out", traj)
+        argv = ("label", "--denoiser", chain, "--traj", traj, "--out", out)
+        message = f"invalid value {value} for {flag}: must lie in 1..4, the chain's vocabulary size"
+        assert message in _usage_error(capsys, *argv, flag, value)
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({flag[2:]: int(value)}))
+        assert message in _usage_error(capsys, "--config", str(cfg), *argv)
+        assert not Path(out).exists()
+        run(*argv, "--k1", "4", "--k2", "4")  # V itself is allowed
+        assert Path(out).exists()
+
     def test_ni_sampler_needs_a_checkpoint(self, tmp_path, chain_file, capsys):
         err = _usage_error(
             capsys, "sample", "--denoiser", chain_file, "--sampler", "ni",

@@ -145,6 +145,41 @@ def test_the_loop_queries_once_per_step(instance):
     assert len(steps) == gen_len == counting.queries
 
 
+@SETTINGS
+@given(instances(), st.integers(1, 4))
+def test_the_loop_stops_when_a_multi_position_policy_reveals_the_last_position(instance, per_step):
+    den, prompt, gen_len, _ = instance
+    counting = _Counting(den)
+    base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
+    seen = []
+
+    def leftmost(out, state):
+        seen.append(len(out.positions))
+        return {pos - state.prompt_len: 0 for pos in out.positions[:per_step]}
+
+    expected = -(-gen_len // per_step)
+    # a budget of exactly the steps needed: one more iteration would exceed it
+    steps = run_steps(counting, base, leftmost, expected)
+    assert len(steps) == counting.queries == expected
+    assert seen == list(range(gen_len, 0, -per_step))
+    assert sorted(pos for step in steps for pos, _ in step) == list(range(gen_len))
+
+
+@SETTINGS
+@given(instances())
+def test_a_policy_that_reveals_everything_at_once_takes_one_step(instance):
+    den, prompt, gen_len, _ = instance
+    counting = _Counting(den)
+    base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
+
+    def everything(out, state):
+        return {pos - state.prompt_len: 0 for pos in out.positions}
+
+    steps = run_steps(counting, base, everything, 1)
+    assert len(steps) == counting.queries == 1
+    assert steps[0] == frozenset((pos, 0) for pos in range(gen_len))
+
+
 def test_a_stalled_policy_exhausts_the_step_budget():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_posterior, permutation_chain, random_chain, sticky_chain
@@ -21,6 +21,7 @@ from maskorder.denoiser import (
     TemperedDenoiser,
     extract_features,
     markov_posterior,
+    state_hash,
     temper,
 )
 from maskorder.merge import final_results_preserving, merge_trajectory
@@ -371,10 +372,117 @@ class TestTemper:
         np.testing.assert_array_equal(tempered.features[:, :4], tempered.dists)
         np.testing.assert_array_equal(tempered.features[:, 4:], self.out.features[:, 4:])
 
+    def test_an_inner_denoiser_with_fewer_features_than_tokens_is_rejected(self, tmp_path):
+        log = tmp_path / "narrow.npz"
+        arrays = {
+            "state": np.array(["s"]),
+            "offsets": np.array([0, 1]),
+            "positions": np.array([0]),
+            "rows": np.full((1, 4), 0.25),
+            "hidden": np.zeros((1, 1)),
+        }
+        save_archive(log, arrays, {"V": 4, "F": 1, "denoiser": "stub"})
+        with pytest.raises(DenoiserError, match="feature_dim 1 < V=4"):
+            TemperedDenoiser(ReplayDenoiser(log), 2.0)
+
     def test_wrapper_is_pure_in_the_state(self):
         den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.1, 0.5, seed=7)
         seq = MaskedSequence((1, 4, 4), 1, Vocabulary(4))
         assert np.array_equal(den.query(seq).dists, den.query(seq).dists)
+
+
+# -- reference: the query path with boolean-mask gathers and concatenated features --
+
+
+def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
+    """The closed-form posterior gathered through boolean masks, with the
+    context columns built apart and concatenated to the rows."""
+    V, L = model.V, len(seq)
+    tokens = np.asarray(seq.tokens)
+    observed = tokens != seq.vocab.mask_id
+    pos = np.flatnonzero(~observed)
+    t_pows, pi_pows = model.transition_powers(L)
+    idx = np.arange(L)
+    left = np.maximum.accumulate(np.where(observed, idx, -1))[pos]
+    right = np.minimum.accumulate(np.where(observed, idx, L)[::-1])[::-1][pos]
+    has_left, has_right = left >= 0, right < L
+    p = pi_pows[pos]
+    p[has_left] = t_pows[(pos - left)[has_left], tokens[left[has_left]]]
+    p[has_right] *= t_pows[(right - pos)[has_right], :, tokens[right[has_right]]]
+    rows = p / p.sum(axis=1, keepdims=True)
+    dl = np.where(left >= 0, (pos - left) / L, 1.0)
+    dr = np.where(right < L, (right - pos) / L, 1.0)
+    masked_frac = np.full(len(pos), len(pos) / max(seq.gen_len, 1))
+    features = np.concatenate([rows, np.stack([dl, dr, masked_frac], axis=1)], axis=1)
+    return DenoiserOutput(tuple(pos.tolist()), rows, features)
+
+
+def reference_temper(out: DenoiserOutput, temperature, noise_scale, rng) -> DenoiserOutput:
+    """Tempering on fresh arrays, always dividing, features concatenated."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(out.dists) / temperature
+    if noise_scale > 0:
+        logp = logp + rng.normal(0.0, noise_scale, size=logp.shape)
+    logp -= logp.max(axis=1, keepdims=True)
+    rows = np.exp(logp)
+    rows /= rows.sum(axis=1, keepdims=True)
+    V = rows.shape[1]
+    return DenoiserOutput(out.positions, rows, np.concatenate([rows, out.features[:, V:]], axis=1))
+
+
+def assert_bitwise_equal(out: DenoiserOutput, ref: DenoiserOutput) -> None:
+    assert out.positions == ref.positions
+    for name in ("dists", "features"):
+        a, b = getattr(out, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+QUERY_CHAINS = ("random", "sticky", "permutation")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain=st.sampled_from(QUERY_CHAINS),
+    seed=st.integers(0, 2**32 - 1),
+    V=st.integers(2, 40),
+    L=st.integers(1, 80),
+    prompt_len=st.integers(0, 79),
+    n_masked=st.integers(1, 80),
+    trailing=st.booleans(),
+    temperature=st.sampled_from([1.0, 0.5, 1.3, 7.0]),
+    noise_scale=st.sampled_from([0.0, 0.2, 1.5]),
+)
+@example(chain="sticky", seed=0, V=4, L=6, prompt_len=0, n_masked=6, trailing=True, temperature=1.0, noise_scale=0.0)
+@example(chain="random", seed=1, V=9, L=30, prompt_len=0, n_masked=12, trailing=False, temperature=1.0, noise_scale=0.2)
+@example(chain="permutation", seed=2, V=5, L=20, prompt_len=3, n_masked=7, trailing=True, temperature=0.5, noise_scale=0.0)
+@example(chain="random", seed=3, V=32, L=72, prompt_len=8, n_masked=32, trailing=True, temperature=1.3, noise_scale=1.5)
+def test_the_query_path_is_bitwise_unchanged(
+    chain, seed, V, L, prompt_len, n_masked, trailing, temperature, noise_scale
+):
+    """markov_posterior, temper and TemperedDenoiser.query give the bits of the
+    mask-gathered reference, with and without neighbours on either side."""
+    rng = np.random.default_rng(seed)
+    model = CHAINS[chain](V, rng)
+    prompt_len = min(prompt_len, L - 1)
+    n_masked = min(n_masked, L - prompt_len)
+    if trailing:  # the last n_masked positions: rows without a right neighbour
+        tokens = list(model.sample_sequence(L, rng))
+        tokens[L - n_masked :] = [V] * n_masked
+        seq = MaskedSequence(tuple(tokens), prompt_len, Vocabulary(V))
+    else:
+        seq = observed_masked_sequence(model, L, prompt_len, n_masked, rng)
+    out = markov_posterior(model, seq)
+    ref = reference_posterior(model, seq)
+    assert_bitwise_equal(out, ref)
+    assert_bitwise_equal(
+        temper(out, temperature, noise_scale, np.random.default_rng(seed)),
+        reference_temper(ref, temperature, noise_scale, np.random.default_rng(seed)),
+    )
+    den = TemperedDenoiser(MarkovDenoiser(model), temperature, noise_scale, seed=seed % 1000)
+    key = int(state_hash(seq)[:16], 16)
+    assert_bitwise_equal(
+        den.query(seq), reference_temper(ref, temperature, noise_scale, np.random.default_rng((seed % 1000, key)))
+    )
 
 
 @st.composite

@@ -56,6 +56,25 @@ class TestPositionScore:
         with pytest.raises(ValueError):
             position_scores(np.array([[0.5, 0.5], [0.7, 0.7]]), "prob")
 
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[0.5, 0.5, np.nan], [np.inf, 0.0, 0.0], [1.25, -0.25, 0.0]],  # the last one sums to 1 exactly
+        ids=["nan", "inf", "negative"],
+    )
+    def test_a_nan_inf_or_negative_entry_is_rejected(self, rule, bad_row):
+        good = [0.5, 0.25, 0.25]
+        for rows in ([bad_row], [good, bad_row], [bad_row, good, good]):
+            with pytest.raises(ValueError, match="not a normalized distribution"):
+                position_scores(np.array(rows), rule)
+            with pytest.raises(ValueError, match="not a normalized distribution"):
+                select_positions(output_for(rows), DecodeConfig(rule=rule, threshold=0.9))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_an_empty_batch_scores_to_an_empty_vector(self, rule):
+        scores = position_scores(np.empty((0, 4)), rule)
+        assert scores.shape == (0,)
+
     def test_negentropy_argmax_is_the_minimum_entropy_position(self):
         rng = np.random.default_rng(0)
         rows = rng.dirichlet(np.ones(6), size=10)
