@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,6 +84,13 @@ class MaskedSequence:
     @property
     def gen_len(self) -> int:
         return len(self.tokens) - self.prompt_len
+
+    @cached_property
+    def token_array(self) -> np.ndarray:
+        """The tokens as one read-only int64 array, built on first use."""
+        a = np.fromiter(self.tokens, np.int64, len(self.tokens))
+        a.flags.writeable = False
+        return a
 
     def masked_positions(self) -> list:
         """Absolute indices of currently masked positions."""

@@ -182,7 +182,7 @@ class FeatureBundle:
 def state_hash(seq: MaskedSequence) -> str:
     h = hashlib.sha256()
     h.update(bytes(f"{seq.prompt_len}|{seq.vocab.size}|", "ascii"))
-    h.update(np.fromiter(seq.tokens, np.int64, len(seq)).tobytes())
+    h.update(seq.token_array.tobytes())
     return h.hexdigest()
 
 
@@ -203,7 +203,7 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     1.0 where there is none) and the masked fraction.
     """
     V, L = model.V, len(seq)
-    tokens = np.fromiter(seq.tokens, np.int64, L)
+    tokens = seq.token_array
     observed = tokens != seq.vocab.mask_id
     pos = (~observed).nonzero()[0]
     if not pos.size:

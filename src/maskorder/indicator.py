@@ -126,32 +126,35 @@ class IndicatorModel:
             )
 
     def _forward(self, tok_ids, logits, hidden):
-        """Batch forward pass; returns (class probabilities, cache)."""
+        """Batch forward pass; returns (class probabilities, cache), all fresh
+        arrays that the caller may overwrite."""
         self._check_geometry(tok_ids, logits, hidden)
         p = self.params
         B = tok_ids.shape[0]
         e_flat = p["emb"][tok_ids].reshape(B, -1)
-        x = np.concatenate(
-            [
-                e_flat @ p["w_tok"] + p["b_tok"],
-                logits @ p["w_log"] + p["b_log"],
-                hidden @ p["w_hid"] + p["b_hid"],
-            ],
-            axis=1,
-        )
+        x = np.concatenate([e_flat @ p["w_tok"], logits @ p["w_log"], hidden @ p["w_hid"]], axis=1)
+        x += np.concatenate([p["b_tok"], p["b_log"], p["b_hid"]])
         blocks = []
         for i in range(self.config.depth):
-            u = x @ p[f"w1_{i}"] + p[f"b1_{i}"]
-            sg = 1.0 / (1.0 + np.exp(-u))  # SiLU(u) = u * sg; the backward pass reuses sg
+            u = x @ p[f"w1_{i}"]
+            u += p[f"b1_{i}"]
+            # sg = 1 / (1 + exp(-u)), so SiLU(u) = u * sg; the backward pass reuses sg
+            sg = np.negative(u)
+            np.exp(sg, out=sg)
+            sg += 1.0
+            np.reciprocal(sg, out=sg)
             a = u * sg
             blocks.append((x, u, sg, a))
-            x = x + a @ p[f"w2_{i}"] + p[f"b2_{i}"]
-        z = x @ p["w_head"] + p["b_head"]
-        z = z - z.max(axis=1, keepdims=True)
-        probs = np.exp(z)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cache = (tok_ids, logits, hidden, e_flat, blocks, x, probs)
-        return probs, cache
+            t = a @ p[f"w2_{i}"]
+            t += x
+            t += p[f"b2_{i}"]
+            x = t
+        z = x @ p["w_head"]
+        z += p["b_head"]
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z, (e_flat, blocks, x)
 
     def score_batch(self, tok_ids, logits, hidden) -> np.ndarray:
         """Probability of the positive class for each row."""
@@ -185,28 +188,34 @@ def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
     logits = np.asarray(logits, dtype=np.float64)
     hidden = np.asarray(hidden, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    probs, cache = model._forward(tok_ids, logits, hidden)
-    _, _, _, e_flat, blocks, x_last, _ = cache
+    probs, (e_flat, blocks, x_last) = model._forward(tok_ids, logits, hidden)
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(B), labels], 1e-300))))
 
     p = model.params
     cfg = model.config
     grads = {}
 
-    dz = probs.copy()
+    # dz, dx and the block products reuse probs, x_last, sg and u once read
+    dz = probs
     dz[np.arange(B), labels] -= 1.0
     dz /= B
     grads["w_head"] = x_last.T @ dz
     grads["b_head"] = dz.sum(axis=0)
-    dx = dz @ p["w_head"].T
+    dx = np.matmul(dz, p["w_head"].T, out=x_last)
     for i in reversed(range(cfg.depth)):
         x_in, u, sg, a = blocks[i]
         grads[f"w2_{i}"] = a.T @ dx
         grads[f"b2_{i}"] = dx.sum(axis=0)
-        du = (dx @ p[f"w2_{i}"].T) * (sg * (1.0 + u * (1.0 - sg)))
+        # SiLU'(u) = sg * (1 + u * (1 - sg)), built in a's buffer, which is done with
+        np.subtract(1.0, sg, out=a)
+        a *= u
+        a += 1.0
+        a *= sg
+        du = np.matmul(dx, p[f"w2_{i}"].T, out=sg)
+        du *= a
         grads[f"w1_{i}"] = x_in.T @ du
         grads[f"b1_{i}"] = du.sum(axis=0)
-        dx = dx + du @ p[f"w1_{i}"].T
+        dx += np.matmul(du, p[f"w1_{i}"].T, out=u)
 
     d_tok, d_log, _ = cfg.group_widths
     dt = dx[:, :d_tok]
@@ -218,13 +227,11 @@ def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
     grads["b_log"] = dl.sum(axis=0)
     grads["w_hid"] = hidden.T @ dh
     grads["b_hid"] = dh.sum(axis=0)
-    # one scatter over the flattened table: element (t, j) sits at t*emb_dim + j,
-    # and repeated ids accumulate in row order, as a 2-D scatter of rows would
+    # one scatter over the flattened table: element (t, j) sits at t*emb_dim + j;
+    # bincount adds the weights in input order from 0, as np.add.at on zeros does
     de = dt @ p["w_tok"].T
     flat_idx = (tok_ids[:, :, None] * cfg.emb_dim + np.arange(cfg.emb_dim)).reshape(-1)
-    g_emb = np.zeros(p["emb"].size)
-    np.add.at(g_emb, flat_idx, de.reshape(-1))
-    grads["emb"] = g_emb.reshape(p["emb"].shape)
+    grads["emb"] = np.bincount(flat_idx, de.reshape(-1), p["emb"].size).reshape(p["emb"].shape)
     return loss, grads
 
 
@@ -293,21 +300,23 @@ def adamw_step(state: TrainState, grads: dict) -> TrainState:
             raise ValueError(f"gradient shape mismatch for {key}")
     g = np.concatenate([grads[key].reshape(-1) for key in state.shapes])
     w = state.flat
-    m = h.beta1 * state.m
-    m += (1 - h.beta1) * g
-    v = h.beta2 * state.v
-    g2 = (1 - h.beta2) * g
-    g2 *= g
-    v += g2
-    m_hat = m / (1 - h.beta1**t)
-    v_hat = v / (1 - h.beta2**t)
-    np.sqrt(v_hat, out=v_hat)
-    v_hat += h.eps
-    m_hat *= h.lr
-    m_hat /= v_hat
-    w_new = w - m_hat
+    m = np.multiply(state.m, h.beta1)
+    s = np.multiply(g, 1 - h.beta1)
+    m += s
+    v = np.multiply(state.v, h.beta2)
+    np.multiply(g, 1 - h.beta2, out=s)
+    s *= g
+    v += s
+    # g and s are free from here: g takes m_hat, s takes v_hat and then the new weights
+    np.divide(m, 1 - h.beta1**t, out=g)
+    np.divide(v, 1 - h.beta2**t, out=s)
+    np.sqrt(s, out=s)
+    s += h.eps
+    g *= h.lr
+    g /= s
+    w_new = np.subtract(w, g, out=s)
     if h.weight_decay:
-        w_new -= h.lr * h.weight_decay * w
+        w_new -= np.multiply(w, h.lr * h.weight_decay, out=g)
     return TrainState(w_new, m, v, t, h, state.shapes)
 
 

@@ -14,6 +14,7 @@ LabeledExample field, one row per example; the shared config (K1, K2, F, V,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class LabelingConfig:
     min_pos_prob: float = DEFAULT_MIN_POS_PROB
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     top_tokens: np.ndarray  # K1 token ids, descending probability
     top_logits: np.ndarray  # K2 log-probabilities, non-increasing
     hidden: np.ndarray  # F denoiser features
@@ -74,24 +74,15 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     mergeable = {pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step}
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
     top1 = out.dists.max(axis=1).tolist()
+    P = state.prompt_len
+    rows = zip(features.top_tokens, features.top_logits, features.hidden, top1, out.positions)
     examples = []
-    for j, abs_pos in enumerate(out.positions):
-        pos = abs_pos - state.prompt_len
+    for top_tokens, top_logits, hidden, p1, abs_pos in rows:
+        pos = abs_pos - P
         label = 1 if pos in mergeable else 0
-        if label == 1 and top1[j] < cfg.min_pos_prob:
+        if label == 1 and p1 < cfg.min_pos_prob:
             label = 0
-        examples.append(
-            LabeledExample(
-                top_tokens=features.top_tokens[j],
-                top_logits=features.top_logits[j],
-                hidden=features.hidden[j],
-                label=label,
-                top1_prob=top1[j],
-                traj_id=record.id,
-                k=k,
-                pos=pos,
-            )
-        )
+        examples.append(LabeledExample(top_tokens, top_logits, hidden, label, p1, record.id, k, pos))
     return examples
 
 
@@ -178,4 +169,4 @@ def load_dataset(path) -> DatasetFile:
     if not np.all((arrays["label"] == 0) | (arrays["label"] == 1)):
         raise ValueError(f"{path}: labels must be 0 or 1")
     columns = [arrays[name] if width else arrays[name].tolist() for name, (_, width) in _COLUMNS.items()]
-    return DatasetFile([LabeledExample(*values) for values in zip(*columns)], config)
+    return DatasetFile(list(map(LabeledExample, *columns)), config)

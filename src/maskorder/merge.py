@@ -30,14 +30,15 @@ class MergeReport:
 def _check_state(traj: Trajectory, k: int, state_k: MaskedSequence) -> None:
     revealed = dict(pair for step in traj.steps[: k - 1] for pair in step)
     mask = state_k.vocab.mask_id
-    for pos in range(state_k.gen_len):
-        actual = state_k.tokens[state_k.prompt_len + pos]
-        expected = revealed.get(pos, mask)
-        if actual != expected:
-            raise ValueError(
-                f"state_k inconsistent with trajectory prefix at position {pos}: "
-                f"have {actual}, expected {expected}"
-            )
+    expected = tuple(revealed.get(pos, mask) for pos in range(state_k.gen_len))
+    have = state_k.tokens[state_k.prompt_len :]
+    if have != expected:
+        for pos, (actual, want) in enumerate(zip(have, expected)):
+            if actual != want:
+                raise ValueError(
+                    f"state_k inconsistent with trajectory prefix at position {pos}: "
+                    f"have {actual}, expected {want}"
+                )
 
 
 def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, denoiser, out=None) -> int:

@@ -4,12 +4,16 @@ the benchmark's own self-test. This file reads ``bench/`` and changes nothing
 there."""
 
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import sticky_chain
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
+from maskorder.indicator import IndicatorModel, TrainHyper, train
+from test_indicator import SMALL, separable_dataset
 
 _spec = importlib.util.spec_from_file_location("bench_spans", Path(__file__).parent.parent / "bench" / "spans.py")
 spans = importlib.util.module_from_spec(_spec)
@@ -30,3 +34,21 @@ def test_a_fresh_tracer_installs_every_hook_and_reaches_the_inner_denoiser():
         assert tracer.missing_metrics() == []
     finally:
         tracer.uninstall()
+
+
+def test_training_calls_both_training_hooks_once_per_minibatch():
+    # the traced run times training through these two module attributes; a
+    # train loop that bypasses them would count no minibatches
+    examples = separable_dataset(SMALL, 50, np.random.default_rng(0))
+    hyper = TrainHyper(batch_size=8, epochs=2)
+    n_train = len(examples) - len(examples) // 10  # train() holds out a tenth
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(IndicatorModel.init(SMALL, np.random.default_rng(1)), examples, hyper, np.random.default_rng(2))
+    finally:
+        tracer.uninstall()
+    names = [span[spans.NAME] for span in tracer.spans]
+    minibatches = hyper.epochs * math.ceil(n_train / hyper.batch_size)
+    assert names.count("indicator.loss_and_grad") == minibatches == 12
+    assert names.count("indicator.adamw_step") == minibatches

@@ -75,6 +75,8 @@ class TestMaskedSequence:
             assert state == direct
             assert all(type(t) is int for t in state.tokens)
             assert state.masked_positions() == direct.masked_positions()
+            arr = state.token_array  # built for each copy, not carried over from the state revealed
+            assert arr.dtype == np.int64 and not arr.flags.writeable and arr.tolist() == tokens
             i += size
 
     @pytest.mark.parametrize(

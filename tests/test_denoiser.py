@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import weakref
 from pathlib import Path
@@ -483,6 +484,12 @@ def test_the_query_path_is_bitwise_unchanged(
     assert_bitwise_equal(
         den.query(seq), reference_temper(ref, temperature, noise_scale, np.random.default_rng((seed % 1000, key)))
     )
+
+
+def test_state_hash_is_the_sha256_of_the_header_and_the_int64_tokens():
+    seq = MaskedSequence.fully_masked((1, 2), 3, Vocabulary(4)).reveal([(1, 3)])
+    tokens = np.array([1, 2, 4, 3, 4], dtype=np.int64)
+    assert state_hash(seq) == hashlib.sha256(b"2|4|" + tokens.tobytes()).hexdigest()
 
 
 @st.composite

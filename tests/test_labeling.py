@@ -3,12 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, permutation_chain
+from conftest import make_instance, permutation_chain, random_chain, sticky_chain
 from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, apply_steps
-from maskorder.denoiser import MarkovDenoiser
+from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser, extract_features
 from maskorder.labeling import (
     DEFAULT_MIN_POS_PROB,
+    LabeledExample,
     LabelingConfig,
     build_dataset,
     label_state,
@@ -83,6 +86,87 @@ class TestLabelState:
         already = {pos for step in traj.steps[: k - 1] for pos, _ in step}
         assert {ex.pos for ex in examples} == set(range(record.gen_len)) - already
         assert all(ex.k == k and ex.traj_id == record.id for ex in examples)
+
+
+def reference_label_state(record, k, denoiser, cfg):
+    """label_state as a per-row loop over indices, one field dict per example."""
+    traj = record.trajectory
+    state = apply_steps(record.base(), traj, k)
+    out = denoiser.query(state)
+    idx = count_mergeable(traj, k, state, denoiser, out=out)
+    mergeable = {pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step}
+    features = extract_features(out, slice(None), cfg.k1, cfg.k2)
+    top1 = out.dists.max(axis=1).tolist()
+    rows = []
+    for j, abs_pos in enumerate(out.positions):
+        pos = abs_pos - state.prompt_len
+        label = 1 if pos in mergeable else 0
+        if label == 1 and top1[j] < cfg.min_pos_prob:
+            label = 0
+        rows.append(
+            dict(
+                top_tokens=features.top_tokens[j],
+                top_logits=features.top_logits[j],
+                hidden=features.hidden[j],
+                label=label,
+                top1_prob=top1[j],
+                traj_id=record.id,
+                k=k,
+                pos=pos,
+            )
+        )
+    return rows
+
+
+@st.composite
+def labeling_instances(draw):
+    V = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["sticky", "random", "permutation"]))
+    if kind == "sticky":
+        model = sticky_chain(V, draw(st.sampled_from([0.5, 0.8, 0.95])))
+    elif kind == "random":
+        model = random_chain(V, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        model = permutation_chain(V)
+    noise = draw(st.sampled_from([0.0, 0.5]))
+    den = TemperedDenoiser(MarkovDenoiser(model), noise_scale=noise, seed=draw(st.integers(0, 9)))
+    prompt = model.sample_sequence(draw(st.integers(1, 3)), np.random.default_rng(draw(st.integers(0, 99))))
+    threshold = draw(st.sampled_from([None, 0.5, 0.9]))
+    gen_len = draw(st.integers(1, 10))
+    record = record_for(den, prompt, gen_len, seed=draw(st.integers(0, 99)), threshold=threshold)
+    k1, k2 = draw(st.integers(1, V)), draw(st.integers(1, V))
+    return den, record, k1, k2
+
+
+class TestLabelStateIsPinned:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=labeling_instances(), min_pos_prob=st.sampled_from([0.0, DEFAULT_MIN_POS_PROB, 1.1]))
+    def test_every_cut_matches_the_per_row_loop(self, instance, min_pos_prob):
+        den, record, k1, k2 = instance
+        cfg = LabelingConfig(k1, k2, min_pos_prob)
+        for k in range(1, record.trajectory.n + 1):
+            examples = label_state(record, k, den, cfg)
+            expected = reference_label_state(record, k, den, cfg)
+            assert len(examples) == len(expected)
+            for ex, want in zip(examples, expected):
+                assert ex._asdict().keys() == want.keys()
+                for name, value in want.items():
+                    got = getattr(ex, name)
+                    if isinstance(value, np.ndarray):
+                        assert got.dtype == value.dtype and got.shape == value.shape, name
+                        assert got.tobytes() == value.tobytes(), name
+                    else:
+                        assert type(got) is type(value) and got == value, name
+
+    def test_positional_construction_and_attribute_access(self):
+        den, record = make_instance(4)
+        ex = label_state(record, 1, den, CFG)[0]
+        copy = LabeledExample(*ex)
+        fields = ("top_tokens", "top_logits", "hidden", "label", "top1_prob", "traj_id", "k", "pos")
+        assert LabeledExample._fields == fields
+        assert all(getattr(copy, name) is getattr(ex, name) for name in fields)
+        assert copy.k == 1 and copy.traj_id == record.id
+        assert not hasattr(ex, "__dict__")
 
 
 class TestBuildDataset:

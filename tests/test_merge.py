@@ -48,6 +48,21 @@ class TestCountMergeable:
         with pytest.raises(ValueError, match="inconsistent"):
             count_mergeable(traj, 1, wrong, den)
 
+    def test_inconsistent_state_names_the_first_bad_position(self):
+        den = MarkovDenoiser(permutation_chain(5))
+        traj = full_step_reference(den, (0,), 4)  # position p holds token p + 1
+        base = MaskedSequence.fully_masked((0,), 4, den.vocab)
+        state = apply_steps(base, traj, 3)  # positions 0 and 1 revealed
+        # position 1 has a wrong token, position 3 is revealed though still masked in the prefix
+        tokens = list(state.tokens)
+        tokens[1 + 1], tokens[1 + 3] = 4, 2
+        wrong = MaskedSequence(tuple(tokens), 1, den.vocab)
+        with pytest.raises(ValueError, match=r"inconsistent .* at position 1: have 4, expected 2$"):
+            count_mergeable(traj, 3, wrong, den)
+        tokens[1 + 1] = 2  # only the revealed position is left
+        with pytest.raises(ValueError, match=r"at position 3: have 2, expected 5$"):
+            count_mergeable(traj, 3, MaskedSequence(tuple(tokens), 1, den.vocab), den)
+
     def test_shared_query_matches_a_fresh_one(self):
         den, record = make_instance(11)
         base = record.base()
