@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import load_archive, save_archive
+from .labeling import Rows
 
 __all__ = [
     "IndicatorConfig",
@@ -117,6 +118,9 @@ class IndicatorModel:
         cfg = self.config
         if tok_ids.shape[1] != cfg.k1:
             raise ValueError(f"expected {cfg.k1} top tokens, got {tok_ids.shape[1]}")
+        if tok_ids.size and not (tok_ids.min() >= 0 and tok_ids.max() < cfg.vocab_size):
+            bad = tok_ids[(tok_ids < 0) | (tok_ids >= cfg.vocab_size)][0]
+            raise ValueError(f"token id {bad} lies outside [0, {cfg.vocab_size})")
         if logits.shape[1] != cfg.k2:
             raise ValueError(f"expected {cfg.k2} top logits, got {logits.shape[1]}")
         if hidden.shape[1] != cfg.feature_dim:
@@ -171,12 +175,10 @@ class IndicatorModel:
 
 
 def batch_arrays(examples):
-    """Stack LabeledExamples into (tok_ids, logits, hidden, labels)."""
-    tok_ids = np.asarray([ex.top_tokens for ex in examples], dtype=np.int64)
-    logits = np.asarray([ex.top_logits for ex in examples], dtype=np.float64)
-    hidden = np.asarray([ex.hidden for ex in examples], dtype=np.float64)
-    labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
-    return tok_ids, logits, hidden, labels
+    """(tok_ids, logits, hidden, labels): a labeling.Rows view's own columns, or the rows stacked."""
+    dtypes = {"top_tokens": np.int64, "top_logits": np.float64, "hidden": np.float64, "label": np.int64}
+    cols = examples.columns if isinstance(examples, Rows) else {n: [getattr(ex, n) for ex in examples] for n in dtypes}
+    return tuple(np.asarray(cols[name], dtype=dt) for name, dt in dtypes.items())
 
 
 def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):

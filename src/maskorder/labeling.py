@@ -6,9 +6,9 @@ starting at k, otherwise 0. Positives whose top-1 probability falls below
 min_pos_prob are relabeled negative; the filter touches labels only, never
 the extracted features.
 
-A dataset file is an archive (core.save_archive) with one array per
-LabeledExample field, one row per example; the shared config (K1, K2, F, V,
-...) is its meta, in `<path>.meta.json`.
+A dataset is one array per LabeledExample field, one row per example, kept
+as an archive (core.save_archive) whose meta is the shared config (K1, K2,
+F, V, ...), in `<path>.meta.json`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .merge import count_mergeable
 
 DEFAULT_MIN_POS_PROB = 0.15
 
-__all__ = ["LabelingConfig", "LabeledExample", "DatasetFile", "label_state", "build_dataset", "save_dataset", "load_dataset"]
+__all__ = ["LabelingConfig", "LabeledExample", "Rows", "DatasetFile", "label_state", "build_dataset", "save_dataset", "load_dataset"]
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,58 @@ class LabeledExample(NamedTuple):
     pos: int  # generation-relative
 
 
+# LabeledExample field -> (dtype kind, meta key of its column width, or None
+# for one value per example); in field order
+_COLUMNS = {
+    "top_tokens": ("i", "K1"),
+    "top_logits": ("f", "K2"),
+    "hidden": ("f", "F"),
+    "label": ("i", None),
+    "top1_prob": ("f", None),
+    "traj_id": ("U", None),
+    "k": ("i", None),
+    "pos": ("i", None),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """LabeledExample rows over one array per field, in _COLUMNS order, each built as it is read."""
+
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(self.columns["label"])
+
+    def __iter__(self):
+        return map(LabeledExample, *(a if a.ndim > 1 else a.tolist() for a in self.columns.values()))
+
+    def __getitem__(self, i: int) -> LabeledExample:
+        return LabeledExample(*(a[i] if a.ndim > 1 else a[i].item() for a in self.columns.values()))
+
+
 @dataclass
 class DatasetFile:
-    examples: list
+    columns: dict  # field -> read-only array, as in Rows
     config: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for a in self.columns.values():
+            a.flags.writeable = False
+
+    @property
+    def examples(self) -> Rows:
+        return Rows(self.columns)
 
     @property
     def positive_fraction(self) -> float:
-        if not self.examples:
-            return 0.0
-        return sum(ex.label for ex in self.examples) / len(self.examples)
+        n = len(self.columns["label"])
+        return int(self.columns["label"].sum()) / n if n else 0.0
 
 
-def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> list:
-    """Labeled examples for every masked position at trajectory cut k.
+def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> Rows:
+    """Labeled examples for every masked position at trajectory cut k, as a
+    Rows view of the cut's columns.
 
     out, when given, is the denoiser's answer at that cut's state, which
     saves the query.
@@ -71,19 +109,15 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     if out is None:
         out = denoiser.query(state)
     idx = count_mergeable(traj, k, state, denoiser, out=out)
-    mergeable = {pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step}
+    mergeable = np.zeros(record.gen_len, dtype=bool)
+    mergeable[[pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step]] = True
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
-    top1 = out.dists.max(axis=1).tolist()
-    P = state.prompt_len
-    rows = zip(features.top_tokens, features.top_logits, features.hidden, top1, out.positions)
-    examples = []
-    for top_tokens, top_logits, hidden, p1, abs_pos in rows:
-        pos = abs_pos - P
-        label = 1 if pos in mergeable else 0
-        if label == 1 and p1 < cfg.min_pos_prob:
-            label = 0
-        examples.append(LabeledExample(top_tokens, top_logits, hidden, label, p1, record.id, k, pos))
-    return examples
+    top1 = out.dists.max(axis=1)
+    pos = np.array(out.positions, dtype=np.int64) - state.prompt_len
+    label = (mergeable[pos] & ~(top1 < cfg.min_pos_prob)).astype(np.int64)
+    traj_id, cut = np.full(len(pos), record.id), np.full(len(pos), k, dtype=np.int64)
+    columns = (features.top_tokens, features.top_logits, features.hidden, label, top1, traj_id, cut, pos)
+    return Rows(dict(zip(_COLUMNS, columns)))
 
 
 def build_dataset(
@@ -100,15 +134,14 @@ def build_dataset(
     """
     if cuts_per_traj < 1:
         raise ValueError("cuts_per_traj must be >= 1")
-    records = list(records)
-    if not records:
-        raise ValueError("no trajectories to label")
-    examples = []
+    parts = []
     for record in records:
         n = record.trajectory.n
         cuts = rng.choice(n, size=min(cuts_per_traj, n), replace=False) + 1
         for k in sorted(int(c) for c in cuts):
-            examples.extend(label_state(record, k, denoiser, cfg))
+            parts.append(label_state(record, k, denoiser, cfg).columns)
+    if not parts:
+        raise ValueError("no trajectory has a step to label")
     config = {
         "K1": cfg.k1,
         "K2": cfg.k2,
@@ -117,28 +150,13 @@ def build_dataset(
         "min_pos_prob": cfg.min_pos_prob,
         "denoiser": denoiser.config_id,
     }
-    return DatasetFile(examples, config)
-
-
-# LabeledExample field -> (dtype kind, meta key of its column width, or None
-# for one value per example); in field order
-_COLUMNS = {
-    "top_tokens": ("i", "K1"),
-    "top_logits": ("f", "K2"),
-    "hidden": ("f", "F"),
-    "label": ("i", None),
-    "top1_prob": ("f", None),
-    "traj_id": ("U", None),
-    "k": ("i", None),
-    "pos": ("i", None),
-}
+    return DatasetFile({name: np.concatenate([p[name] for p in parts]) for name in _COLUMNS}, config)
 
 
 def save_dataset(ds: DatasetFile, path) -> None:
     """Write one array per field as an archive at exactly `path`, with the
     shared config as its meta (core.save_archive)."""
-    arrays = {name: np.asarray([getattr(ex, name) for ex in ds.examples]) for name in _COLUMNS}
-    save_archive(path, arrays, ds.config)
+    save_archive(path, ds.columns, ds.config)
 
 
 def load_dataset(path) -> DatasetFile:
@@ -168,5 +186,4 @@ def load_dataset(path) -> DatasetFile:
         raise ValueError(f"{path}: token ids must lie in [0, {config['V']})")
     if not np.all((arrays["label"] == 0) | (arrays["label"] == 1)):
         raise ValueError(f"{path}: labels must be 0 or 1")
-    columns = [arrays[name] if width else arrays[name].tolist() for name, (_, width) in _COLUMNS.items()]
-    return DatasetFile(list(map(LabeledExample, *columns)), config)
+    return DatasetFile({name: arrays[name] for name in _COLUMNS}, config)

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import sticky_chain
+from maskorder.core import SampleRecord
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
 from maskorder.indicator import IndicatorModel, TrainHyper, train
+from maskorder.labeling import LabelingConfig, build_dataset
+from maskorder.orders import DecodeConfig, decode
 from test_indicator import SMALL, separable_dataset
 
 _spec = importlib.util.spec_from_file_location("bench_spans", Path(__file__).parent.parent / "bench" / "spans.py")
@@ -52,3 +55,25 @@ def test_training_calls_both_training_hooks_once_per_minibatch():
     minibatches = hyper.epochs * math.ceil(n_train / hyper.batch_size)
     assert names.count("indicator.loss_and_grad") == minibatches == 12
     assert names.count("indicator.adamw_step") == minibatches
+
+
+def test_labeling_calls_its_hooks_once_per_cut():
+    # the traced run counts cuts and examples through the label_state hook and
+    # times each cut's replay, merge count and features through the other three
+    den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.8)), noise_scale=0.3, seed=1)
+    records = [
+        SampleRecord(f"r{i}", den.vocab, (i % 4,), 12, decode(den, (i % 4,), 12, DecodeConfig(threshold=0.8, seed=i)))
+        for i in range(3)
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ds = build_dataset(records, den, 3, np.random.default_rng(0), LabelingConfig(2, 2, 0.0))
+    finally:
+        tracer.uninstall()
+    cuts = [i for i, span in enumerate(tracer.spans) if span[spans.NAME] == "labeling.label_state"]
+    assert len(cuts) == len({(ex.traj_id, ex.k) for ex in ds.examples}) == 9
+    assert sum(tracer.spans[i][spans.N] for i in cuts) == len(ds.examples)
+    for i in cuts:
+        children = sorted(span[spans.NAME] for span in tracer.spans if span[spans.PARENT] == i)
+        assert children == ["core.apply_steps", "features", "merge.count_mergeable"]

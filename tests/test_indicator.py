@@ -78,6 +78,18 @@ class TestModelBasics:
         with pytest.raises(ValueError, match="feature dimension"):
             model.score_batch(tok_ids, logits, hidden[:, :2])
 
+    @pytest.mark.parametrize("bad", [-1, SMALL.vocab_size])
+    def test_token_ids_outside_the_vocabulary_are_rejected(self, bad):
+        # id -1 would index the embedding table from the end and score as id V-1
+        model = IndicatorModel.init(SMALL, np.random.default_rng(0))
+        tok_ids, logits, hidden, labels = random_batch(SMALL, 4, np.random.default_rng(1))
+        tok_ids[2, 1] = bad
+        message = rf"token id {bad} lies outside \[0, 6\)"
+        with pytest.raises(ValueError, match=message):
+            model.score_batch(tok_ids, logits, hidden)
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(model, tok_ids, logits, hidden, labels)
+
     def test_bad_config_values(self):
         with pytest.raises(ValueError):
             IndicatorConfig(vocab_size=4, k1=5)

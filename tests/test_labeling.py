@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, permutation_chain, random_chain, sticky_chain
-from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, apply_steps
+from maskorder import labeling
+from maskorder.core import MaskedSequence, SampleRecord, Trajectory, Vocabulary, apply_steps, save_archive
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser, extract_features
+from maskorder.indicator import batch_arrays
 from maskorder.labeling import (
     DEFAULT_MIN_POS_PROB,
     LabeledExample,
@@ -148,8 +151,11 @@ class TestLabelStateIsPinned:
             examples = label_state(record, k, den, cfg)
             expected = reference_label_state(record, k, den, cfg)
             assert len(examples) == len(expected)
-            for ex, want in zip(examples, expected):
-                assert ex._asdict().keys() == want.keys()
+            iterated = list(examples)
+            indexed = [examples[j] for j in range(len(examples))]
+            assert examples[-1].pos == iterated[-1].pos
+            for ex, want in zip(iterated + indexed, expected + expected):
+                assert type(ex) is LabeledExample and ex._asdict().keys() == want.keys()
                 for name, value in want.items():
                     got = getattr(ex, name)
                     if isinstance(value, np.ndarray):
@@ -205,6 +211,9 @@ class TestBuildDataset:
             build_dataset([], den, 1, np.random.default_rng(0), CFG)
         with pytest.raises(ValueError):
             build_dataset([record], den, 0, np.random.default_rng(0), CFG)
+        empty = SampleRecord("e", record.vocab, record.prompt, 0, Trajectory(()))
+        with pytest.raises(ValueError, match="no trajectory has a step"):
+            build_dataset([empty], den, 1, np.random.default_rng(0), CFG)
 
 
 class TestDatasetIO:
@@ -234,6 +243,92 @@ class TestDatasetIO:
         save_dataset(ds, tmp_path / "train.jsonl")
         assert (tmp_path / "train.jsonl").read_bytes() == first
         assert len(load_dataset(tmp_path / "train.jsonl").examples) == len(ds.examples)
+
+
+def reference_dataset_arrays(records, den, cuts_per_traj, rng, cfg):
+    """The row-stacking writer's arrays: build_dataset's cuts labeled by the
+    per-row loop, each field stacked with np.asarray over the list of rows."""
+    rows = []
+    for record in records:
+        n = record.trajectory.n
+        cuts = rng.choice(n, size=min(cuts_per_traj, n), replace=False) + 1
+        for k in sorted(int(c) for c in cuts):
+            rows.extend(reference_label_state(record, k, den, cfg))
+    return {name: np.asarray([row[name] for row in rows]) for name in LabeledExample._fields}
+
+
+@st.composite
+def labeled_records(draw):
+    """A labeling instance whose trajectory is shared by records with ids of
+    different lengths (the empty id included)."""
+    den, record, k1, k2 = draw(labeling_instances())
+    ids = draw(st.lists(st.text("ab7-\u00e4", max_size=6), min_size=1, max_size=3))
+    records = [SampleRecord(i, record.vocab, record.prompt, record.gen_len, record.trajectory) for i in ids]
+    return den, records, LabelingConfig(k1, k2, draw(st.sampled_from([0.0, DEFAULT_MIN_POS_PROB])))
+
+
+class TestColumnarDataset:
+    """A dataset is its columns; these pin it against the row-by-row code it
+    replaced."""
+
+    @staticmethod
+    def build_and_save(path):
+        den, record = make_instance(3)
+        built = build_dataset([record], den, 3, np.random.default_rng(1), CFG)
+        save_dataset(built, path)
+        return built
+
+    @pytest.fixture
+    def datasets(self, tmp_path):
+        built = self.build_and_save(tmp_path / "train.npz")
+        return built, load_dataset(tmp_path / "train.npz")
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=labeled_records(), cuts=st.integers(1, 4), seed=st.integers(0, 99))
+    def test_save_writes_the_row_stacking_writers_bytes(self, instance, cuts, seed):
+        den, records, cfg = instance
+        ds = build_dataset(records, den, cuts, np.random.default_rng(seed), cfg)
+        arrays = reference_dataset_arrays(records, den, cuts, np.random.default_rng(seed), cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = os.path.join(tmp, "new.npz"), os.path.join(tmp, "old.npz")
+            save_dataset(ds, new)
+            save_archive(old, arrays, ds.config)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_load_returns_the_columns_without_building_rows(self, tmp_path, monkeypatch):
+        built = self.build_and_save(tmp_path / "train.npz")
+        # every row is a LabeledExample looked up in the module at call time
+        monkeypatch.setattr(labeling, "LabeledExample", None)
+        loaded = load_dataset(tmp_path / "train.npz")
+        monkeypatch.undo()
+        assert list(loaded.columns) == list(built.columns) == list(LabeledExample._fields)
+        for name, a in built.columns.items():
+            b = loaded.columns[name]
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+        assert loaded.config == built.config
+
+    def test_batch_arrays_returns_the_columns_themselves(self, datasets):
+        for ds in datasets:
+            arrays = batch_arrays(ds.examples)
+            assert [a is ds.columns[name] for a, name in zip(arrays, LabeledExample._fields)] == [True] * 4
+            for a, b in zip(arrays, batch_arrays(list(ds.examples))):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_positive_fraction_is_the_mean_label(self, datasets):
+        for ds in datasets:
+            labels = [ex.label for ex in ds.examples]
+            assert 0 < sum(labels) < len(labels)
+            fraction = ds.positive_fraction
+            assert type(fraction) is float and fraction == sum(labels) / len(labels)
+
+    def test_columns_reject_writes(self, datasets):
+        for ds in datasets:
+            for name, a in ds.columns.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+            with pytest.raises(ValueError, match="read-only"):
+                ds.examples[0].hidden[0] = 1.0
 
 
 class TestLoadValidation:
