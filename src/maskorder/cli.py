@@ -112,12 +112,8 @@ def cmd_sample(args):
         indicator = ni_cfg = None
         if args.sampler == "ni":
             indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
-            ni_cfg = NIConfig(
-                base=DecodeConfig(threshold=args.base_epsilon, temperature=args.temperature, seed=args.seed),
-                eps_phi=args.eps_phi,
-                k1=indicator.config.k1,
-                k2=indicator.config.k2,
-            )
+            base = DecodeConfig(threshold=args.base_epsilon, temperature=args.temperature, seed=args.seed)
+            ni_cfg = NIConfig(base=base, eps_phi=args.eps_phi)
         records = harness.gen_data(
             den,
             model,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,14 +36,11 @@ __all__ = [
 @dataclass(frozen=True)
 class RunMetrics:
     steps: float
-    wall_time: float
-    tokens_per_second: float
     exact_match_rate: float
     seq_logprob: float
-    config: dict = field(default_factory=dict)
 
 
-def evaluate(records, reference_records, model: MarkovModel, wall_time: float = 0.0) -> RunMetrics:
+def evaluate(records, reference_records, model: MarkovModel) -> RunMetrics:
     """Aggregate step counts, trajectory fidelity, and chain log-probability.
 
     exact_match_rate compares final tokens against the reference run on the
@@ -53,7 +50,6 @@ def evaluate(records, reference_records, model: MarkovModel, wall_time: float = 
     if not records:
         raise ValueError("no records to evaluate")
     steps = float(np.mean([r.trajectory.n for r in records]))
-    total_tokens = sum(r.gen_len for r in records)
     logprobs = [
         model.sequence_logprob(list(r.prompt) + final_tokens(r.trajectory)) for r in records
     ]
@@ -69,14 +65,7 @@ def evaluate(records, reference_records, model: MarkovModel, wall_time: float = 
                 raise ValueError(f"prompt mismatch between runs at record {rec.id}")
             matches += final_tokens(rec.trajectory) == final_tokens(ref.trajectory)
         match_rate = matches / len(records)
-    return RunMetrics(
-        steps=steps,
-        wall_time=wall_time,
-        tokens_per_second=total_tokens / wall_time if wall_time > 0 else 0.0,
-        exact_match_rate=match_rate,
-        seq_logprob=float(np.mean(logprobs)),
-        config={"count": len(records)},
-    )
+    return RunMetrics(steps=steps, exact_match_rate=match_rate, seq_logprob=float(np.mean(logprobs)))
 
 
 def sample_prompts(model: MarkovModel, prompt_len: int, count: int, seed: int) -> list:
@@ -128,15 +117,14 @@ def sweep(
 ) -> tuple:
     """Threshold grid plus indicator grid against a shared full-step reference.
 
-    Every run decodes the same `count` prompts through gen_data, NI runs with
-    the indicator's K1/K2. Returns (rows, dominance summary). Deterministic
-    given the seed unless timings are enabled.
+    Every run decodes the same `count` prompts through gen_data. Returns
+    (rows, dominance summary). Deterministic given the seed unless timings
+    are enabled.
     """
-    k1, k2 = indicator.config.k1, indicator.config.k2
     reference = gen_data(denoiser, model, prompt_len, gen_len, count, DecodeConfig(), seed)
     runs = [("threshold", eps, DecodeConfig(threshold=eps), None) for eps in THRESHOLD_GRID]
     runs += [
-        ("ni", eps_phi, None, NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=eps_phi, k1=k1, k2=k2))
+        ("ni", eps_phi, None, NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=eps_phi))
         for eps_phi in INDICATOR_GRID
     ]
     rows = []
@@ -146,7 +134,7 @@ def sweep(
             denoiser, model, prompt_len, gen_len, count, cfg, seed, indicator=indicator, ni_cfg=ni_cfg
         )
         elapsed = time.perf_counter() - start
-        metrics = evaluate(records, reference, model, wall_time=elapsed if timings else 0.0)
+        metrics = evaluate(records, reference, model)
         rows.append(
             {
                 "method": method,
@@ -154,7 +142,7 @@ def sweep(
                 "steps": metrics.steps,
                 "exact_match_rate": metrics.exact_match_rate,
                 "seq_logprob": metrics.seq_logprob,
-                "wall_time": metrics.wall_time,
+                "wall_time": elapsed if timings else 0.0,
             }
         )
     return rows, dominance_summary(rows)

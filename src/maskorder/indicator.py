@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import load_archive, save_archive
-from .labeling import Rows
 
 __all__ = [
     "IndicatorConfig",
@@ -34,6 +33,10 @@ __all__ = [
 
 class CheckpointError(Exception):
     pass
+
+
+# AdamW's fixed settings; the learning rate is TrainHyper.lr
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.95, 1e-8, 0.01
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,10 @@ class IndicatorModel:
                 f"configured {cfg.feature_dim}"
             )
 
-    def _forward(self, tok_ids, logits, hidden):
+    def _forward(self, tok_ids, logits, hidden, cache=True):
         """Batch forward pass; returns (class probabilities, cache), all fresh
-        arrays that the caller may overwrite."""
+        arrays that the caller may overwrite. With cache=False the cache is
+        None, and each block's arrays go once the next block has read them."""
         self._check_geometry(tok_ids, logits, hidden)
         p = self.params
         B = tok_ids.shape[0]
@@ -148,7 +152,8 @@ class IndicatorModel:
             sg += 1.0
             np.reciprocal(sg, out=sg)
             a = u * sg
-            blocks.append((x, u, sg, a))
+            if cache:
+                blocks.append((x, u, sg, a))
             t = a @ p[f"w2_{i}"]
             t += x
             t += p[f"b2_{i}"]
@@ -158,7 +163,7 @@ class IndicatorModel:
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         z /= z.sum(axis=1, keepdims=True)
-        return z, (e_flat, blocks, x)
+        return z, (e_flat, blocks, x) if cache else None
 
     def score_batch(self, tok_ids, logits, hidden) -> np.ndarray:
         """Probability of the positive class for each row."""
@@ -166,6 +171,7 @@ class IndicatorModel:
             np.asarray(tok_ids, dtype=np.int64),
             np.asarray(logits, dtype=np.float64),
             np.asarray(hidden, dtype=np.float64),
+            cache=False,
         )
         return probs[:, 1]
 
@@ -174,11 +180,10 @@ class IndicatorModel:
         return self.score_batch(features.top_tokens, features.top_logits, features.hidden)
 
 
-def batch_arrays(examples):
-    """(tok_ids, logits, hidden, labels): a labeling.Rows view's own columns, or the rows stacked."""
-    dtypes = {"top_tokens": np.int64, "top_logits": np.float64, "hidden": np.float64, "label": np.int64}
-    cols = examples.columns if isinstance(examples, Rows) else {n: [getattr(ex, n) for ex in examples] for n in dtypes}
-    return tuple(np.asarray(cols[name], dtype=dt) for name, dt in dtypes.items())
+def batch_arrays(data):
+    """(tok_ids, logits, hidden, labels): the columns of a labeled dataset or of
+    a labeling.Rows view, as they are."""
+    return tuple(data.columns[name] for name in ("top_tokens", "top_logits", "hidden", "label"))
 
 
 def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
@@ -240,10 +245,6 @@ def loss_and_grad(model: IndicatorModel, tok_ids, logits, hidden, labels):
 @dataclass(frozen=True)
 class TrainHyper:
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    weight_decay: float = 0.01
     batch_size: int = 256
     epochs: int = 50
 
@@ -253,13 +254,6 @@ class TrainHyper:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -302,28 +296,28 @@ def adamw_step(state: TrainState, grads: dict) -> TrainState:
             raise ValueError(f"gradient shape mismatch for {key}")
     g = np.concatenate([grads[key].reshape(-1) for key in state.shapes])
     w = state.flat
-    m = np.multiply(state.m, h.beta1)
-    s = np.multiply(g, 1 - h.beta1)
+    m = np.multiply(state.m, BETA1)
+    s = np.multiply(g, 1 - BETA1)
     m += s
-    v = np.multiply(state.v, h.beta2)
-    np.multiply(g, 1 - h.beta2, out=s)
+    v = np.multiply(state.v, BETA2)
+    np.multiply(g, 1 - BETA2, out=s)
     s *= g
     v += s
     # g and s are free from here: g takes m_hat, s takes v_hat and then the new weights
-    np.divide(m, 1 - h.beta1**t, out=g)
-    np.divide(v, 1 - h.beta2**t, out=s)
+    np.divide(m, 1 - BETA1**t, out=g)
+    np.divide(v, 1 - BETA2**t, out=s)
     np.sqrt(s, out=s)
-    s += h.eps
+    s += EPS
     g *= h.lr
     g /= s
     w_new = np.subtract(w, g, out=s)
-    if h.weight_decay:
-        w_new -= np.multiply(w, h.lr * h.weight_decay, out=g)
+    w_new -= np.multiply(w, h.lr * WEIGHT_DECAY, out=g)
     return TrainState(w_new, m, v, t, h, state.shapes)
 
 
 def train(model: IndicatorModel, dataset, hyper: TrainHyper, rng: np.random.Generator):
-    """Shuffled mini-batch training with a fixed 10% held-out split.
+    """Shuffled mini-batch training over a labeled dataset's columns
+    (labeling.DatasetFile), with a fixed 10% held-out split.
 
     The split comes first: rng.permutation(N), whose leading max(1, N // 10)
     rows are held out (none when N is 1). Each epoch then draws a permutation
@@ -335,11 +329,10 @@ def train(model: IndicatorModel, dataset, hyper: TrainHyper, rng: np.random.Gene
     epoch). The train split is not rescored: its accuracy would cost a
     forward pass over every row per epoch.
     """
-    examples = dataset.examples if hasattr(dataset, "examples") else list(dataset)
-    if not examples:
-        raise ValueError("dataset is empty")
-    tok_ids, logits, hidden, labels = batch_arrays(examples)
+    tok_ids, logits, hidden, labels = batch_arrays(dataset)
     N = len(labels)
+    if not N:
+        raise ValueError("dataset is empty")
     perm = rng.permutation(N)
     n_hold = max(1, N // 10) if N >= 2 else 0
     hold, tr = perm[:n_hold], perm[n_hold:]

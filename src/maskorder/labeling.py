@@ -71,9 +71,6 @@ class Rows:
     def __iter__(self):
         return map(LabeledExample, *(a if a.ndim > 1 else a.tolist() for a in self.columns.values()))
 
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(*(a[i] if a.ndim > 1 else a[i].item() for a in self.columns.values()))
-
 
 @dataclass
 class DatasetFile:
@@ -108,7 +105,7 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     state = apply_steps(base, traj, k)
     if out is None:
         out = denoiser.query(state)
-    idx = count_mergeable(traj, k, state, denoiser, out=out)
+    idx = count_mergeable(traj, k, state, out)
     mergeable = np.zeros(record.gen_len, dtype=bool)
     mergeable[[pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step]] = True
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
@@ -163,13 +160,16 @@ def load_dataset(path) -> DatasetFile:
     """Read a dataset written by save_dataset and check it against its meta file.
 
     Raises ValueError naming the path when load_archive does, K1/K2/F/V are
-    not positive integers, the arrays are not exactly the columns, a shape
-    disagrees, or a token id lies outside [0, V) or a label outside {0, 1}.
+    not positive integers, K1 or K2 exceeds V, the arrays are not exactly the
+    columns, a shape disagrees, or a token id lies outside [0, V) or a label
+    outside {0, 1}.
     """
     arrays, config = load_archive(path)
     bad = [key for key in ("K1", "K2", "F", "V") if type(config.get(key)) is not int or config[key] < 1]
     if bad:
         raise ValueError(f"{path}.meta.json lacks {', '.join(bad)} as positive integers")
+    if max(config["K1"], config["K2"]) > config["V"]:
+        raise ValueError(f"{path}.meta.json: K1={config['K1']} and K2={config['K2']} must not exceed V={config['V']}")
     if set(arrays) != set(_COLUMNS):
         raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(_COLUMNS)}")
     n = arrays["label"].size

@@ -41,17 +41,15 @@ def _check_state(traj: Trajectory, k: int, state_k: MaskedSequence) -> None:
                 )
 
 
-def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, denoiser, out=None) -> int:
+def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> int:
     """Smallest step index idx > k whose tokens are not all argmax-predicted
     at the fixed state_k, or n+1 when every later step already matches.
 
-    All lookahead checks use one denoiser query at state_k.
+    All lookahead checks use out, the denoiser's answer at state_k.
     """
     if not 1 <= k <= traj.n:
         raise ValueError(f"step index {k} out of range 1..{traj.n}")
     _check_state(traj, k, state_k)
-    if out is None:
-        out = denoiser.query(state_k)
     P = state_k.prompt_len
     predicted = dict(zip(out.positions, out.dists.argmax(axis=1).tolist()))
     for idx in range(k + 1, traj.n + 1):
@@ -70,7 +68,7 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
 
     def choose(out, state):
         k = groups[-1][1] + 1 if groups else 1
-        idx = count_mergeable(traj, k, state, denoiser, out=out)
+        idx = count_mergeable(traj, k, state, out)
         groups.append((k, idx - 1))
         return dict(pair for step in traj.steps[k - 1 : idx - 1] for pair in step)
 

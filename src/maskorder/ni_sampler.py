@@ -9,7 +9,7 @@ score reaches the gate threshold. Both reveal groups form one trajectory step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,12 +29,11 @@ class NIConfig:
     argmax tokens when base.temperature is None, else samples drawn from the
     generator seeded with base.seed. Tokens come from orders.sample_tokens as
     in decode(base), so with a gate that never fires NI equals decode(base).
+    The feature geometry (K1, K2) is the indicator's own, from its config.
     """
 
     base: DecodeConfig = field(default_factory=lambda: DecodeConfig(threshold=0.9))
     eps_phi: float = 0.9
-    k1: int = 4
-    k2: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_phi <= 1.0:
@@ -42,7 +41,10 @@ class NIConfig:
 
 
 class ConstantIndicator:
-    """Stub indicator returning a fixed score; useful for gate identities."""
+    """Stub indicator returning a fixed score; useful for gate identities.
+    It reads no feature, so it asks for the narrowest bundle, K1 = K2 = 1."""
+
+    config = SimpleNamespace(k1=1, k2=1)
 
     def __init__(self, value: float):
         self.value = value
@@ -64,7 +66,7 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
         rest = np.flatnonzero(~revealed)
         if len(rest):
             # the top-1 slots get the token the step would commit (greedily, the argmax)
-            features = extract_features(out, rest, cfg.k1, cfg.k2)
+            features = extract_features(out, rest, indicator.config.k1, indicator.config.k2)
             features.top_tokens[:, 0] = tokens[rest]
             features.top_logits[:, 0] = np.log(np.maximum(out.dists[rest, tokens[rest]], LOG_FLOOR))
             revealed[rest] = indicator.score_bundles(features) >= cfg.eps_phi
@@ -82,7 +84,7 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
     )
 
 
-def oracle_indicator_decode(denoiser, record, cfg: Optional[NIConfig] = None) -> Trajectory:
+def oracle_indicator_decode(denoiser, record) -> Trajectory:
     """Decode gated by the exact mergeability oracle against a known reference.
 
     At each visited state (which must stay aligned with the reference
@@ -99,7 +101,8 @@ def oracle_indicator_decode(denoiser, record, cfg: Optional[NIConfig] = None) ->
         nonlocal k
         if state.tokens != apply_steps(base, traj, k).tokens:
             raise AssertionError("oracle decode diverged from the reference trajectory")
-        chosen = {ex.pos for ex in label_state(record, k, denoiser, label_cfg, out=out) if ex.label}
+        cut = label_state(record, k, denoiser, label_cfg, out=out).columns
+        chosen = set(cut["pos"][cut["label"] == 1].tolist())
         while k <= traj.n and all(pos in chosen for pos, _ in traj.steps[k - 1]):
             k += 1
         return {pos: finals[pos] for pos in chosen}

@@ -68,7 +68,7 @@ def speedup_ctx():
     n_eval = 50
     reference = harness.gen_data(den, model, 8, 64, n_eval, DecodeConfig(), seed=555)
     threshold = harness.gen_data(den, model, 8, 64, n_eval, DecodeConfig(threshold=0.9), seed=555)
-    ni_cfg = NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=0.9, k1=4, k2=8)
+    ni_cfg = NIConfig(base=DecodeConfig(threshold=0.9), eps_phi=0.9)
     ni = harness.gen_data(
         den, model, 8, 64, n_eval, DecodeConfig(), seed=555, indicator=indicator, ni_cfg=ni_cfg
     )

@@ -42,13 +42,13 @@ def test_a_fresh_tracer_installs_every_hook_and_reaches_the_inner_denoiser():
 def test_training_calls_both_training_hooks_once_per_minibatch():
     # the traced run times training through these two module attributes; a
     # train loop that bypasses them would count no minibatches
-    examples = separable_dataset(SMALL, 50, np.random.default_rng(0))
+    dataset = separable_dataset(SMALL, 50, np.random.default_rng(0))
     hyper = TrainHyper(batch_size=8, epochs=2)
-    n_train = len(examples) - len(examples) // 10  # train() holds out a tenth
+    n_train = 50 - 50 // 10  # train() holds out a tenth
     tracer = spans.Tracer()
     tracer.install()
     try:
-        train(IndicatorModel.init(SMALL, np.random.default_rng(1)), examples, hyper, np.random.default_rng(2))
+        train(IndicatorModel.init(SMALL, np.random.default_rng(1)), dataset, hyper, np.random.default_rng(2))
     finally:
         tracer.uninstall()
     names = [span[spans.NAME] for span in tracer.spans]

@@ -58,8 +58,7 @@ def test_every_policy_returns_a_partition(instance, score, eps_phi):
     den, prompt, gen_len, cfg = instance
     reference = decode(den, prompt, gen_len, cfg)
     assert _is_partition(reference, gen_len)
-    k = min(2, den.vocab.size)
-    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi, k1=k, k2=k)
+    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi)
     gated = ni_decode(den, ConstantIndicator(score), prompt, gen_len, ni_cfg)
     assert _is_partition(gated, gen_len)
     record = SampleRecord("r", den.vocab, tuple(prompt), gen_len, reference)
@@ -96,8 +95,7 @@ def test_merge_analyses_keep_the_reference_output(instance):
 @given(instances(), st.floats(0.01, 1.0))
 def test_a_closed_gate_reduces_ni_to_its_base_sampler(instance, eps_phi):
     den, prompt, gen_len, cfg = instance
-    k = min(2, den.vocab.size)
-    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi, k1=k, k2=k)
+    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi)
     gated = ni_decode(den, ConstantIndicator(0.0), prompt, gen_len, ni_cfg)
     plain = decode(den, prompt, gen_len, cfg)
     assert gated.steps == plain.steps
@@ -108,8 +106,7 @@ def test_a_closed_gate_reduces_ni_to_its_base_sampler(instance, eps_phi):
 def test_greedy_policies_commit_the_argmax_of_the_revealing_state(instance, score, eps_phi):
     den, prompt, gen_len, cfg = instance
     cfg = DecodeConfig(rule=cfg.rule, threshold=cfg.threshold, seed=cfg.seed)
-    k = min(2, den.vocab.size)
-    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi, k1=k, k2=k)
+    ni_cfg = NIConfig(base=cfg, eps_phi=eps_phi)
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
     for traj in (
         decode(den, prompt, gen_len, cfg),

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ class TestEvaluate:
         m = evaluate(self.recs, None, self.model)
         assert m.steps == pytest.approx(1.5)
         assert m.exact_match_rate == 1.0
-        assert m.config["count"] == 2
+        assert list(asdict(m)) == ["steps", "exact_match_rate", "seq_logprob"]
 
     def test_seq_logprob_is_the_chain_logprob_of_prompt_plus_output(self):
         m = evaluate(self.recs[:1], None, self.model)
@@ -64,11 +66,6 @@ class TestEvaluate:
         ref = [record("a", (3,), [{(0, 0)}, {(1, 0)}]), self.recs[1]]
         with pytest.raises(ValueError, match="prompt mismatch"):
             evaluate(self.recs, ref, self.model)
-
-    def test_wall_time_drives_throughput(self):
-        m = evaluate(self.recs, None, self.model, wall_time=2.0)
-        assert m.tokens_per_second == pytest.approx(4 / 2.0)
-        assert evaluate(self.recs, None, self.model).tokens_per_second == 0.0
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -104,8 +101,8 @@ class TestSweep:
     def _run(self, timings=False):
         model = sticky_chain(8, 0.85)
         den = MarkovDenoiser(model)
-        # K1/K2 differ from NIConfig's defaults, so the NI rows must take them
-        # from the checkpoint; the zero head scores every position exactly 0.5
+        # the NI rows take K1/K2 from the indicator, here other than the
+        # defaults of IndicatorConfig; the zero head scores every position 0.5
         cfg = IndicatorConfig(vocab_size=8, k1=2, k2=3, feature_dim=den.feature_dim, hidden_dim=9, depth=1)
         indicator = IndicatorModel.init(cfg, np.random.default_rng(0))
         return sweep(den, model, indicator, 2, 8, 3, seed=0, timings=timings)

@@ -24,14 +24,14 @@ class TestCountMergeable:
         den = MarkovDenoiser(permutation_chain(5))
         traj = full_step_reference(den, (0,), 8)
         base = MaskedSequence.fully_masked((0,), 8, den.vocab)
-        assert count_mergeable(traj, 1, base, den) == traj.n + 1
+        assert count_mergeable(traj, 1, base, den.query(base)) == traj.n + 1
 
     def test_counts_advance_as_the_state_does(self):
         den = MarkovDenoiser(permutation_chain(5))
         traj = full_step_reference(den, (0,), 6)
         base = MaskedSequence.fully_masked((0,), 6, den.vocab)
         state = apply_steps(base, traj, 3)
-        assert count_mergeable(traj, 3, state, den) == traj.n + 1
+        assert count_mergeable(traj, 3, state, den.query(state)) == traj.n + 1
 
     def test_k_out_of_range(self):
         den = MarkovDenoiser(permutation_chain(5))
@@ -39,14 +39,14 @@ class TestCountMergeable:
         base = MaskedSequence.fully_masked((0,), 4, den.vocab)
         for k in (0, traj.n + 1):
             with pytest.raises(ValueError):
-                count_mergeable(traj, k, base, den)
+                count_mergeable(traj, k, base, den.query(base))
 
     def test_inconsistent_state_is_rejected(self):
         den = MarkovDenoiser(permutation_chain(5))
         traj = full_step_reference(den, (0,), 4)
         wrong = MaskedSequence.fully_masked((0,), 4, den.vocab).reveal([(0, 3)])
         with pytest.raises(ValueError, match="inconsistent"):
-            count_mergeable(traj, 1, wrong, den)
+            count_mergeable(traj, 1, wrong, None)  # the state is checked before the answer is read
 
     def test_inconsistent_state_names_the_first_bad_position(self):
         den = MarkovDenoiser(permutation_chain(5))
@@ -58,18 +58,17 @@ class TestCountMergeable:
         tokens[1 + 1], tokens[1 + 3] = 4, 2
         wrong = MaskedSequence(tuple(tokens), 1, den.vocab)
         with pytest.raises(ValueError, match=r"inconsistent .* at position 1: have 4, expected 2$"):
-            count_mergeable(traj, 3, wrong, den)
+            count_mergeable(traj, 3, wrong, None)
         tokens[1 + 1] = 2  # only the revealed position is left
         with pytest.raises(ValueError, match=r"at position 3: have 2, expected 5$"):
-            count_mergeable(traj, 3, MaskedSequence(tuple(tokens), 1, den.vocab), den)
+            count_mergeable(traj, 3, MaskedSequence(tuple(tokens), 1, den.vocab), None)
 
     def test_shared_query_matches_a_fresh_one(self):
+        # merge_trajectory counts each group from the query its decode step made
         den, record = make_instance(11)
         base = record.base()
-        out = den.query(base)
-        assert count_mergeable(record.trajectory, 1, base, den, out=out) == count_mergeable(
-            record.trajectory, 1, base, den
-        )
+        _, report = merge_trajectory(record.trajectory, base, den)
+        assert report.per_group[0][1] + 1 == count_mergeable(record.trajectory, 1, base, den.query(base))
 
 
 class TestMergeTrajectory:

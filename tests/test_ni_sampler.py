@@ -1,9 +1,15 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, sticky_chain
 from maskorder.core import final_tokens, validate_partition
 from maskorder.denoiser import LOG_FLOOR, MarkovDenoiser, extract_features
+from maskorder.indicator import IndicatorConfig, IndicatorModel
 from maskorder.merge import merge_trajectory
 from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
 from maskorder.orders import DecodeConfig, decode, sample_tokens, select_positions
@@ -24,14 +30,28 @@ class CountingDenoiser:
 
 
 class AlternatingIndicator:
-    """Gate that fires on every other row it scores and keeps each batch."""
+    """Gate that fires on every other row it scores and keeps each batch;
+    it asks for bundles of top-k1 tokens and top-k2 log-probabilities."""
 
-    def __init__(self):
+    def __init__(self, k1, k2):
+        self.config = SimpleNamespace(k1=k1, k2=k2)
         self.batches = []
 
     def score_bundles(self, features):
         self.batches.append(features)
         return (np.arange(len(features)) % 2).astype(np.float64)
+
+
+class RecordingIndicator:
+    """Scores through another indicator, keeping each batch it is given."""
+
+    def __init__(self, inner):
+        self.inner, self.config = inner, inner.config
+        self.batches = []
+
+    def score_bundles(self, features):
+        self.batches.append(features)
+        return self.inner.score_bundles(features)
 
 
 class TestNIConfig:
@@ -48,7 +68,8 @@ class TestNIConfig:
         cfg = NIConfig()
         assert cfg.base.threshold == 0.9
         assert cfg.eps_phi == 0.9
-        assert (cfg.k1, cfg.k2) == (4, 8)
+        # the feature geometry is the indicator's, never the config's
+        assert [f.name for f in fields(NIConfig)] == ["base", "eps_phi"]
 
 
 class TestGateIdentities:
@@ -56,46 +77,46 @@ class TestGateIdentities:
         den = MarkovDenoiser(sticky_chain(4, 0.8))
         base_cfg = DecodeConfig(threshold=0.7, seed=0)
         reference = decode(den, (1, 2), 16, base_cfg)
-        gated = ni_decode(den, ConstantIndicator(0.0), (1, 2), 16, NIConfig(base=base_cfg, k1=2, k2=2))
+        gated = ni_decode(den, ConstantIndicator(0.0), (1, 2), 16, NIConfig(base=base_cfg))
         assert gated.steps == reference.steps
 
     def test_always_on_gate_decodes_in_one_step(self):
         den = MarkovDenoiser(sticky_chain(4, 0.8))
-        traj = ni_decode(den, ConstantIndicator(1.0), (1,), 12, NIConfig(k1=2, k2=2))
+        traj = ni_decode(den, ConstantIndicator(1.0), (1,), 12, NIConfig())
         assert traj.n == 1
         assert len(traj.steps[0]) == 12
 
     def test_zero_threshold_gate_also_fires_everywhere(self):
         den = MarkovDenoiser(sticky_chain(4, 0.8))
-        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 8, NIConfig(eps_phi=0.0, k1=2, k2=2))
+        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 8, NIConfig(eps_phi=0.0))
         assert traj.n == 1
 
     def test_gate_fires_at_exact_equality(self):
         den = MarkovDenoiser(sticky_chain(4, 0.8))
-        traj = ni_decode(den, ConstantIndicator(0.9), (1,), 8, NIConfig(eps_phi=0.9, k1=2, k2=2))
+        traj = ni_decode(den, ConstantIndicator(0.9), (1,), 8, NIConfig(eps_phi=0.9))
         assert traj.n == 1
 
 
 class TestNIDecode:
     def test_one_query_per_step(self):
         den = CountingDenoiser(MarkovDenoiser(sticky_chain(4, 0.8)))
-        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 10, NIConfig(k1=2, k2=2))
+        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 10, NIConfig())
         assert den.queries == traj.n
 
     def test_output_is_a_valid_partition(self):
         den = MarkovDenoiser(sticky_chain(6, 0.6))
-        traj = ni_decode(den, ConstantIndicator(0.5), (0, 3), 20, NIConfig(eps_phi=0.5, k1=3, k2=3))
+        traj = ni_decode(den, ConstantIndicator(0.5), (0, 3), 20, NIConfig(eps_phi=0.5))
         assert validate_partition(traj, range(20)).ok
 
     def test_meta_fields(self):
         den = MarkovDenoiser(sticky_chain(4, 0.8))
-        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 4, NIConfig(k1=2, k2=2))
+        traj = ni_decode(den, ConstantIndicator(0.0), (1,), 4, NIConfig())
         assert traj.meta["sampler"] == "ni"
         assert traj.meta["eps_phi"] == 0.9
 
     def test_random_mode_is_reproducible(self):
         den = MarkovDenoiser(sticky_chain(4, 0.6))
-        cfg = NIConfig(base=DecodeConfig(threshold=0.7, temperature=1.0, seed=5), k1=2, k2=2)
+        cfg = NIConfig(base=DecodeConfig(threshold=0.7, temperature=1.0, seed=5))
         a = ni_decode(den, ConstantIndicator(0.95), (0,), 12, cfg)
         b = ni_decode(den, ConstantIndicator(0.95), (0,), 12, cfg)
         assert a.steps == b.steps
@@ -107,7 +128,7 @@ class TestNIDecode:
         den = MarkovDenoiser(sticky_chain(4, 0.5))
         outs = set()
         for seed in range(8):
-            cfg = NIConfig(base=DecodeConfig(temperature=1.5, seed=seed), eps_phi=0.0, k1=2, k2=2)
+            cfg = NIConfig(base=DecodeConfig(temperature=1.5, seed=seed), eps_phi=0.0)
             traj = ni_decode(den, ConstantIndicator(0.0), (0,), 6, cfg)
             assert traj.n == 1
             outs.add(tuple(final_tokens(traj)))
@@ -116,12 +137,14 @@ class TestNIDecode:
 
 class TestIndicatorBatches:
     @pytest.mark.parametrize("temperature", [None, 1.0])
-    def test_one_batch_per_step_over_the_positions_the_base_rule_left(self, temperature):
+    @settings(max_examples=10, deadline=None)
+    @given(k1=st.integers(1, 5), k2=st.integers(1, 5))
+    def test_one_batch_per_step_over_the_positions_the_base_rule_left(self, temperature, k1, k2):
         den = CountingDenoiser(MarkovDenoiser(sticky_chain(5, 0.6)))
         base = DecodeConfig(threshold=0.8, temperature=temperature, seed=3)
-        indicator = AlternatingIndicator()
+        indicator = AlternatingIndicator(k1, k2)
         prompt = (0, 2)
-        traj = ni_decode(den, indicator, prompt, 16, NIConfig(base=base, eps_phi=0.9, k1=3, k2=4))
+        traj = ni_decode(den, indicator, prompt, 16, NIConfig(base=base, eps_phi=0.9))
         # one token draw per step over every masked row, as decode makes it:
         # the base picks commit theirs, the other rows carry theirs into the
         # features and commit them where the gate fires
@@ -138,7 +161,7 @@ class TestIndicatorBatches:
                 continue
             features = next(batches)
             assert len(features) == len(rest)
-            ranked = extract_features(out, rest, 3, 4)
+            ranked = extract_features(out, rest, k1, k2)
             for i, j in enumerate(rest):
                 pos = out.positions[j] - len(prompt)
                 tok = tokens[j]
@@ -156,6 +179,21 @@ class TestIndicatorBatches:
             assert np.array_equal(features.hidden, ranked.hidden)
         assert next(batches, None) is None
         assert len(indicator.batches) >= 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(V=st.integers(2, 6), data=st.data())
+    def test_bundles_have_the_indicators_geometry(self, V, data):
+        den = MarkovDenoiser(sticky_chain(V, 0.6))
+        k1, k2 = data.draw(st.integers(1, V), label="k1"), data.draw(st.integers(1, V), label="k2")
+        cfg = IndicatorConfig(vocab_size=V, k1=k1, k2=k2, feature_dim=den.feature_dim, emb_dim=3, hidden_dim=6, depth=1)
+        learned = IndicatorModel.init(cfg, np.random.default_rng(data.draw(st.integers(0, 99))))
+        for inner, widths in ((learned, (k1, k2)), (ConstantIndicator(0.0), (1, 1))):
+            # no gate fires and the base reveals one position per step, so
+            # each of the first five steps scores the positions left
+            indicator = RecordingIndicator(inner)
+            ni_decode(den, indicator, (0,), 6, NIConfig(base=DecodeConfig(threshold=1.0), eps_phi=1.0))
+            assert len(indicator.batches) == 5
+            assert {(f.top_tokens.shape[1], f.top_logits.shape[1]) for f in indicator.batches} == {widths}
 
 
 class TestOracleIndicatorDecode:
