@@ -70,7 +70,7 @@ def cmd_label(args):
     ds = build_dataset(records, den, args.cuts, rng, cfg)
     save_dataset(ds, args.out)
     print(
-        f"wrote {len(ds.examples)} examples to {args.out} "
+        f"wrote {len(ds.columns['label'])} examples to {args.out} "
         f"(positive fraction {ds.positive_fraction:.3f})"
     )
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,18 +152,9 @@ class MarkovModel:
 class DenoiserOutput:
     """Per-masked-position probability rows plus per-position feature vectors."""
 
-    positions: tuple  # absolute sequence indices, ascending
+    positions: np.ndarray  # (n_masked,) read-only int64 generation-relative positions, ascending
     dists: np.ndarray  # (n_masked, V)
     features: np.ndarray  # (n_masked, F)
-
-    def index_of(self, pos: int) -> int:
-        j = bisect_left(self.positions, pos)
-        if j == len(self.positions) or self.positions[j] != pos:
-            raise KeyError(f"position {pos} not covered by this output")
-        return j
-
-    def row(self, pos: int) -> np.ndarray:
-        return self.dists[self.index_of(pos)]
 
 
 @dataclass(frozen=True)
@@ -236,7 +226,9 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     features[a:, V] = gap_left / L
     features[:b, V + 1] = gap_right / L
     features[:, V + 2] = len(pos) / max(seq.gen_len, 1)
-    return DenoiserOutput(tuple(pos.tolist()), rows, features)
+    pos -= seq.prompt_len
+    pos.flags.writeable = False
+    return DenoiserOutput(pos, rows, features)
 
 
 def temper(
@@ -333,7 +325,8 @@ class RecordingDenoiser:
     state and on close writes them as one archive (core.save_archive):
     `state` holds Q state hashes in query order, query q owns rows
     offsets[q]:offsets[q+1] of `positions` (R,), `rows` (R, V) and `hidden`
-    (R, F), and the meta is {"V", "F", "denoiser"}."""
+    (R, F), and the meta is {"V", "F", "denoiser"}. The archive's positions
+    are absolute sequence indices."""
 
     def __init__(self, inner, path):
         self.inner = inner
@@ -345,7 +338,7 @@ class RecordingDenoiser:
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         out = self.inner.query(seq)
-        self._outputs.setdefault(state_hash(seq), out)
+        self._outputs.setdefault(state_hash(seq), (out, seq.prompt_len))
         return out
 
     def close(self) -> None:
@@ -353,10 +346,10 @@ class RecordingDenoiser:
         V, F = self.vocab.size, self.feature_dim
         arrays = {
             "state": np.array(list(self._outputs), dtype=str),
-            "offsets": np.cumsum([0] + [len(out.positions) for out in outs], dtype=np.int64),
-            "positions": np.array([pos for out in outs for pos in out.positions], dtype=np.int64),
-            "rows": np.concatenate([np.empty((0, V))] + [out.dists for out in outs]),
-            "hidden": np.concatenate([np.empty((0, F))] + [out.features for out in outs]),
+            "offsets": np.cumsum([0] + [len(out.positions) for out, _ in outs], dtype=np.int64),
+            "positions": np.concatenate([np.empty(0, dtype=np.int64)] + [out.positions + p for out, p in outs]),
+            "rows": np.concatenate([np.empty((0, V))] + [out.dists for out, _ in outs]),
+            "hidden": np.concatenate([np.empty((0, F))] + [out.features for out, _ in outs]),
         }
         save_archive(self.path, arrays, {"V": V, "F": F, "denoiser": self.config_id})
 
@@ -371,10 +364,10 @@ class RecordingDenoiser:
 class ReplayDenoiser:
     """Serves the outputs a RecordingDenoiser archived, keyed by state hash,
     so any decode or merge analysis that revisits recorded states replays
-    exactly. V and F come from the archive's meta. Other arrays, dtypes or
-    shapes, offsets that do not rise strictly from 0 to the row count,
-    positions out of order within a query or a state recorded twice raise
-    DenoiserError naming the path."""
+    exactly, with generation-relative positions again. V and F come from the
+    archive's meta. Other arrays, dtypes or shapes, offsets that do not rise
+    strictly from 0 to the row count, positions out of order within a query
+    or a state recorded twice raise DenoiserError naming the path."""
 
     def __init__(self, path):
         try:
@@ -404,11 +397,9 @@ class ReplayDenoiser:
             raise DenoiserError(f"{path}: positions must be nonnegative and ascending within each query")
         if np.unique(state).size != Q:
             raise DenoiserError(f"{path}: a state is recorded twice")
-        rows.flags.writeable = hidden.flags.writeable = False  # one output serves each repeat of its state
+        rows.flags.writeable = hidden.flags.writeable = False  # one set of rows serves each repeat of its state
         bounds = zip(state.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
-        self._outputs = {
-            h: DenoiserOutput(tuple(positions[a:b].tolist()), rows[a:b], hidden[a:b]) for h, a, b in bounds
-        }
+        self._outputs = {h: (positions[a:b], rows[a:b], hidden[a:b]) for h, a, b in bounds}
         self.vocab = Vocabulary(V)
         self.feature_dim = F
         self.config_id = f"replay:{path}"
@@ -419,4 +410,7 @@ class ReplayDenoiser:
         h = state_hash(seq)
         if h not in self._outputs:
             raise DenoiserError(f"no recorded distribution for state {h}")
-        return self._outputs[h]
+        positions, rows, hidden = self._outputs[h]
+        positions = positions - seq.prompt_len
+        positions.flags.writeable = False
+        return DenoiserOutput(positions, rows, hidden)

@@ -44,28 +44,23 @@ def evaluate(records, reference_records, model: MarkovModel) -> RunMetrics:
     """Aggregate step counts, trajectory fidelity, and chain log-probability.
 
     exact_match_rate compares final tokens against the reference run on the
-    same prompts; pass reference_records=None to skip it (reported as 1.0).
+    same prompts.
     """
-    records = list(records)
+    records, reference_records = list(records), list(reference_records)
     if not records:
         raise ValueError("no records to evaluate")
+    if len(reference_records) != len(records):
+        raise ValueError("reference run has a different number of records")
     steps = float(np.mean([r.trajectory.n for r in records]))
     logprobs = [
         model.sequence_logprob(list(r.prompt) + final_tokens(r.trajectory)) for r in records
     ]
-    if reference_records is None:
-        match_rate = 1.0
-    else:
-        reference_records = list(reference_records)
-        if len(reference_records) != len(records):
-            raise ValueError("reference run has a different number of records")
-        matches = 0
-        for rec, ref in zip(records, reference_records):
-            if rec.prompt != ref.prompt:
-                raise ValueError(f"prompt mismatch between runs at record {rec.id}")
-            matches += final_tokens(rec.trajectory) == final_tokens(ref.trajectory)
-        match_rate = matches / len(records)
-    return RunMetrics(steps=steps, exact_match_rate=match_rate, seq_logprob=float(np.mean(logprobs)))
+    matches = 0
+    for rec, ref in zip(records, reference_records):
+        if rec.prompt != ref.prompt:
+            raise ValueError(f"prompt mismatch between runs at record {rec.id}")
+        matches += final_tokens(rec.trajectory) == final_tokens(ref.trajectory)
+    return RunMetrics(steps=steps, exact_match_rate=matches / len(records), seq_logprob=float(np.mean(logprobs)))
 
 
 def sample_prompts(model: MarkovModel, prompt_len: int, count: int, seed: int) -> list:

@@ -110,10 +110,9 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     mergeable[[pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step]] = True
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
     top1 = out.dists.max(axis=1)
-    pos = np.array(out.positions, dtype=np.int64) - state.prompt_len
-    label = (mergeable[pos] & ~(top1 < cfg.min_pos_prob)).astype(np.int64)
-    traj_id, cut = np.full(len(pos), record.id), np.full(len(pos), k, dtype=np.int64)
-    columns = (features.top_tokens, features.top_logits, features.hidden, label, top1, traj_id, cut, pos)
+    label = (mergeable[out.positions] & ~(top1 < cfg.min_pos_prob)).astype(np.int64)
+    traj_id, cut = np.full(len(top1), record.id), np.full(len(top1), k, dtype=np.int64)
+    columns = (features.top_tokens, features.top_logits, features.hidden, label, top1, traj_id, cut, out.positions)
     return Rows(dict(zip(_COLUMNS, columns)))
 
 

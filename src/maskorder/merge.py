@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import MaskedSequence, Trajectory, final_tokens
 from .orders import run_steps
 
@@ -50,10 +52,11 @@ def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> i
     if not 1 <= k <= traj.n:
         raise ValueError(f"step index {k} out of range 1..{traj.n}")
     _check_state(traj, k, state_k)
-    P = state_k.prompt_len
-    predicted = dict(zip(out.positions, out.dists.argmax(axis=1).tolist()))
+    predicted = np.full(state_k.gen_len, -1)
+    predicted[out.positions] = out.dists.argmax(axis=1)
+    predicted = predicted.tolist()
     for idx in range(k + 1, traj.n + 1):
-        if any(predicted[P + pos] != tok for pos, tok in traj.steps[idx - 1]):
+        if any(predicted[pos] != tok for pos, tok in traj.steps[idx - 1]):
             return idx
     return traj.n + 1
 
@@ -64,20 +67,21 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
     Tokens are carried from the reference, never re-sampled, so the merged
     trajectory's final tokens equal the reference's exactly.
     """
+    finals, step_of = _reference_arrays(traj, base.gen_len)
     groups = []
 
     def choose(out, state):
         k = groups[-1][1] + 1 if groups else 1
         idx = count_mergeable(traj, k, state, out)
         groups.append((k, idx - 1))
-        return dict(pair for step in traj.steps[k - 1 : idx - 1] for pair in step)
+        # count_mergeable checked that the masked positions are those of steps k..n
+        return step_of[out.positions] < idx, finals[out.positions]
 
-    steps = run_steps(denoiser, base, choose, traj.n)
     merged_traj = Trajectory(
-        steps,
+        run_steps(denoiser, base, choose, traj.n),
         meta={**traj.meta, "sampler": f"merge({traj.meta.get('sampler', '?')})"},
     )
-    return merged_traj, _report(traj, merged_traj, tuple(groups))
+    return merged_traj, _report(traj, merged_traj, tuple(groups), finals)
 
 
 def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
@@ -91,31 +95,36 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     tokens are always the reference finals, so the result is preserved by
     construction; only the step structure differs.
     """
-    finals = final_tokens(traj)
-    ref_order = [pos for step in traj.steps for pos in sorted(p for p, _ in step)]
-    P = base.prompt_len
+    finals, step_of = _reference_arrays(traj, base.gen_len)
 
     def choose(out, state):
-        masked = [p - P for p in out.positions]
-        predicted = out.dists.argmax(axis=1).tolist()
-        chosen = [pos for pos, tok in zip(masked, predicted) if tok == finals[pos]]
-        if not chosen:
-            masked = set(masked)
-            chosen = [next(pos for pos in ref_order if pos in masked)]
-        return {pos: finals[pos] for pos in chosen}
+        tokens = finals[out.positions]
+        rows = out.dists.argmax(axis=1) == tokens
+        if not rows.any():  # the first masked row of the earliest reference step; positions ascend
+            rows = np.argmin(step_of[out.positions], keepdims=True)
+        return rows, tokens
 
     frp_traj = Trajectory(
         run_steps(denoiser, base, choose, base.gen_len),
         meta={**traj.meta, "sampler": f"final-preserving({traj.meta.get('sampler', '?')})"},
     )
-    return frp_traj, _report(traj, frp_traj, None)
+    return frp_traj, _report(traj, frp_traj, None, finals)
 
 
-def _report(traj: Trajectory, result: Trajectory, per_group) -> MergeReport:
+def _reference_arrays(traj: Trajectory, gen_len: int) -> tuple:
+    """Each generation position's final token and the 1-based reference step that reveals it."""
+    finals = final_tokens(traj)  # checks that the steps partition the positions
+    if len(finals) != gen_len:
+        raise ValueError(f"the reference reveals {len(finals)} positions, the base has {gen_len}")
+    pos_step = sorted((pos, i) for i, step in enumerate(traj.steps, start=1) for pos, _ in step)
+    return np.array(finals, dtype=np.int64), np.array([i for _, i in pos_step], dtype=np.int64)
+
+
+def _report(traj: Trajectory, result: Trajectory, per_group, finals: np.ndarray) -> MergeReport:
     return MergeReport(
         original_steps=traj.n,
         merged_steps=result.n,
         speedup=traj.n / result.n if result.n else 1.0,
         per_group=per_group,
-        preserved=final_tokens(result) == final_tokens(traj),
+        preserved=final_tokens(result) == finals.tolist(),
     )

@@ -61,8 +61,8 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
 
     def choose(out, state):
         tokens = sample_tokens(out.dists, cfg.base.temperature, rng)
-        picked = set(select_positions(out, cfg.base))
-        revealed = np.array([pos in picked for pos in out.positions])
+        revealed = np.zeros(len(out.positions), dtype=bool)
+        revealed[select_positions(out, cfg.base)] = True
         rest = np.flatnonzero(~revealed)
         if len(rest):
             # the top-1 slots get the token the step would commit (greedily, the argmax)
@@ -70,7 +70,7 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
             features.top_tokens[:, 0] = tokens[rest]
             features.top_logits[:, 0] = np.log(np.maximum(out.dists[rest, tokens[rest]], LOG_FLOOR))
             revealed[rest] = indicator.score_bundles(features) >= cfg.eps_phi
-        return {out.positions[j] - state.prompt_len: int(tokens[j]) for j in np.flatnonzero(revealed)}
+        return revealed, tokens
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     return Trajectory(
@@ -93,7 +93,7 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
     """
     traj = record.trajectory
     base = record.base()
-    finals = final_tokens(traj)
+    finals = np.array(final_tokens(traj))
     label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
     k = 1
 
@@ -102,10 +102,11 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
         if state.tokens != apply_steps(base, traj, k).tokens:
             raise AssertionError("oracle decode diverged from the reference trajectory")
         cut = label_state(record, k, denoiser, label_cfg, out=out).columns
-        chosen = set(cut["pos"][cut["label"] == 1].tolist())
+        rows = cut["label"] == 1
+        chosen = set(cut["pos"][rows].tolist())
         while k <= traj.n and all(pos in chosen for pos, _ in traj.steps[k - 1]):
             k += 1
-        return {pos: finals[pos] for pos in chosen}
+        return rows, finals[out.positions]
 
     return Trajectory(
         run_steps(denoiser, base, choose, traj.n),

@@ -62,24 +62,24 @@ def position_scores(dists: np.ndarray, rule: str) -> np.ndarray:
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> list:
-    """Absolute positions to reveal this step.
+def select_positions(out: DenoiserOutput, cfg: DecodeConfig) -> np.ndarray:
+    """Rows of out to reveal this step, as ascending row indices.
 
-    Full-step mode picks the single best-scoring position. Threshold mode
-    picks every position whose top-1 probability is >= the threshold, falling
-    back to the single best-scoring position so that progress is guaranteed.
-    Ties go to the lowest position only when scores are bitwise equal; scores
-    equal in exact arithmetic can differ by rounding (~1e-16) instead.
+    Full-step mode picks the single best-scoring row. Threshold mode picks
+    every row whose top-1 probability is >= the threshold, falling back to
+    the single best-scoring row so that progress is guaranteed. Ties go to
+    the lowest position only when scores are bitwise equal; scores equal in
+    exact arithmetic can differ by rounding (~1e-16) instead.
     """
-    if not out.positions:
+    if not len(out.positions):
         raise ValueError("no masked positions to select from")
     scores = position_scores(out.dists, cfg.rule)
     if cfg.threshold is not None:
         top1 = scores if cfg.rule == "prob" else out.dists.max(axis=1)
         confident = np.flatnonzero(top1 >= cfg.threshold)
         if len(confident):
-            return [out.positions[j] for j in confident]
-    return [out.positions[int(np.argmax(scores))]]
+            return confident
+    return np.argmax(scores, keepdims=True)
 
 
 def sample_tokens(dists: np.ndarray, temperature: Optional[float], rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +101,8 @@ def run_steps(denoiser, base: MaskedSequence, choose, max_steps: int) -> tuple:
     """The decode loop every sampler shares: query, choose, reveal.
 
     Each step queries the denoiser once at the current state and asks
-    choose(out, state) for the step's {generation position: token}. Raises
+    choose(out, state) for (rows, tokens): the rows of out to reveal, as an
+    index array or a boolean mask, and one token per row of out. Raises
     RuntimeError when positions are still masked after max_steps steps.
     """
     state = base
@@ -111,7 +112,8 @@ def run_steps(denoiser, base: MaskedSequence, choose, max_steps: int) -> tuple:
         if len(steps) == max_steps:
             raise RuntimeError(f"decode exceeded its step budget of {max_steps}; the policy made no progress")
         out = denoiser.query(state)
-        step = sorted(choose(out, state).items())
+        rows, tokens = choose(out, state)
+        step = tuple(zip(out.positions[rows].tolist(), tokens[rows].tolist()))
         steps.append(frozenset(step))
         state = state.reveal(step)
         masked -= len(step)
@@ -125,8 +127,7 @@ def decode(denoiser, prompt, gen_len: int, cfg: DecodeConfig) -> Trajectory:
     rng = np.random.default_rng(cfg.seed)
 
     def choose(out, state):
-        tokens = sample_tokens(out.dists, cfg.temperature, rng)
-        return {pos - state.prompt_len: int(tokens[out.index_of(pos)]) for pos in select_positions(out, cfg)}
+        return select_positions(out, cfg), sample_tokens(out.dists, cfg.temperature, rng)
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     meta = {

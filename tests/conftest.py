@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The brute-force posterior and the naive merge re-simulation below are kept
-deliberately separate from the library implementations so they can serve as
-independent cross-checks.
+The brute-force posterior, the naive merge re-simulation and the exact
+minimum-step search below are kept deliberately separate from the library
+implementations so they can serve as independent cross-checks.
 """
 
 import itertools
@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maskorder.core import MaskedSequence, SampleRecord, Vocabulary
+from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, final_tokens
 from maskorder.denoiser import MarkovDenoiser, MarkovModel, TemperedDenoiser
 from maskorder.orders import DecodeConfig, decode
 
@@ -57,13 +57,18 @@ def brute_force_posterior(model: MarkovModel, seq: MaskedSequence) -> dict:
     return out
 
 
+def row_at(out, pos: int) -> np.ndarray:
+    """The probability row of generation position pos in a denoiser output."""
+    (j,) = np.flatnonzero(out.positions == pos)
+    return out.dists[j]
+
+
 def resimulate_merge(record: SampleRecord, denoiser):
     """Naive replay of the step-merging loop with a fresh query per group.
 
     Returns the list of merged (start, end) reference ranges.
     """
     traj = record.trajectory
-    P = len(record.prompt)
     state = record.base()
     groups = []
     k = 1
@@ -71,7 +76,7 @@ def resimulate_merge(record: SampleRecord, denoiser):
         out = denoiser.query(state)
         j = k + 1
         while j <= traj.n and all(
-            int(np.argmax(out.row(P + pos))) == tok for pos, tok in traj.steps[j - 1]
+            int(np.argmax(row_at(out, pos))) == tok for pos, tok in traj.steps[j - 1]
         ):
             j += 1
         for step in traj.steps[k - 1 : j - 1]:
@@ -79,6 +84,40 @@ def resimulate_merge(record: SampleRecord, denoiser):
         groups.append((k, j - 1))
         k = j
     return groups
+
+
+def min_steps(record: SampleRecord, denoiser) -> int:
+    """Fewest steps that reveal the reference's final tokens, by breadth-first
+    search over the revealed subsets of the generation positions.
+
+    Each state holds the finals on its revealed positions. A move reveals any
+    nonempty subset of the masked positions whose argmax already is the final
+    token or, when there is none, any one masked position. At most 2^gen_len
+    states and 3^gen_len moves: meant for gen_len up to about 10.
+    """
+    finals = final_tokens(record.trajectory)
+    n = record.gen_len
+    base = record.base()
+    done = (1 << n) - 1
+    frontier, seen, steps = {0}, {0}, 0
+    while done not in frontier:
+        steps += 1
+        reached = set()
+        for revealed in frontier:
+            masked = [pos for pos in range(n) if not revealed >> pos & 1]
+            out = denoiser.query(base.reveal((pos, finals[pos]) for pos in range(n) if revealed >> pos & 1))
+            matching = sum(1 << pos for pos in masked if int(np.argmax(row_at(out, pos))) == finals[pos])
+            if matching:
+                moves, move = [], matching
+                while move:  # every nonempty subset of the matching positions
+                    moves.append(move)
+                    move = (move - 1) & matching
+            else:
+                moves = [1 << pos for pos in masked]
+            reached.update(revealed | move for move in moves)
+        frontier = reached - seen
+        seen |= reached
+    return steps
 
 
 def make_instance(seed: int):

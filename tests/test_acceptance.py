@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_posterior, make_instance, random_chain, resimulate_merge, sticky_chain
+from conftest import brute_force_posterior, make_instance, random_chain, resimulate_merge, row_at, sticky_chain
 from maskorder import harness
 from maskorder.core import MaskedSequence, Vocabulary, apply_steps, final_tokens, validate_partition
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser, markov_posterior
@@ -105,7 +105,7 @@ def test_criterion_01_posterior_exactness():
         seq = MaskedSequence(tuple(tokens), 0, Vocabulary(V))
         out = markov_posterior(model, seq)
         for pos, expected in brute_force_posterior(model, seq).items():
-            worst = max(worst, float(np.max(np.abs(out.row(pos) - expected))))
+            worst = max(worst, float(np.max(np.abs(row_at(out, pos - seq.prompt_len) - expected))))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -178,11 +178,10 @@ def test_criterion_05_label_merge_consistency(suite):
             # independent first-group scan with a fresh query
             state = apply_steps(rec.base(), traj, k)
             out = den.query(state)
-            P = state.prompt_len
             group = {pos for pos, _ in traj.steps[k - 1]}
             idx = k + 1
             while idx <= traj.n and all(
-                int(np.argmax(out.row(P + pos))) == tok for pos, tok in traj.steps[idx - 1]
+                int(np.argmax(row_at(out, pos))) == tok for pos, tok in traj.steps[idx - 1]
             ):
                 group |= {pos for pos, _ in traj.steps[idx - 1]}
                 idx += 1

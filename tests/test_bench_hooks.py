@@ -6,16 +6,19 @@ there."""
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import sticky_chain
-from maskorder.core import SampleRecord
+from maskorder import harness
+from maskorder.core import MaskedSequence, SampleRecord, apply_steps
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
 from maskorder.indicator import IndicatorModel, TrainHyper, train
 from maskorder.labeling import LabelingConfig, build_dataset
-from maskorder.orders import DecodeConfig, decode
+from maskorder.ni_sampler import NIConfig
+from maskorder.orders import DecodeConfig, decode, select_positions
 from test_indicator import SMALL, separable_dataset
 
 _spec = importlib.util.spec_from_file_location("bench_spans", Path(__file__).parent.parent / "bench" / "spans.py")
@@ -77,3 +80,36 @@ def test_labeling_calls_its_hooks_once_per_cut():
     for i in cuts:
         children = sorted(span[spans.NAME] for span in tracer.spans if span[spans.PARENT] == i)
         assert children == ["core.apply_steps", "features", "merge.count_mergeable"]
+
+
+class TopOneGate:
+    """Indicator scoring each row by its top-1 probability."""
+
+    config = SimpleNamespace(k1=1, k2=1)
+
+    def score_bundles(self, features):
+        return np.exp(features.top_logits[:, 0])
+
+
+def test_traced_ni_decode_counts_each_querys_rows_and_the_base_rule_picks():
+    # orders.select spans count len(out.positions) scored and len(result)
+    # chosen; the traced run's ni_sampler.base_reveals and gate_reveals rest on
+    # select_positions returning the base rule's picks, one entry each
+    den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.8)), noise_scale=0.3, seed=1)
+    base = DecodeConfig(threshold=0.95)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traj = harness.ni_decode(tracer.denoiser(den), TopOneGate(), (2,), 16, NIConfig(base=base, eps_phi=0.6))
+    finally:
+        tracer.uninstall()
+    start = MaskedSequence.fully_masked((2,), 16, den.vocab)
+    outs = [den.query(apply_steps(start, traj, k)) for k in range(1, traj.n + 1)]
+    picks = [len(select_positions(out, base)) for out in outs]
+    selects = [span for span in tracer.spans if span[spans.NAME] == "orders.select"]
+    queries = [span for span in tracer.spans if span[spans.NAME] == "denoiser.query"]
+    assert [span[spans.N] for span in selects] == [span[spans.N] for span in queries] == [len(o.positions) for o in outs]
+    assert [span[spans.M] for span in selects] == picks
+    metrics = spans.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert metrics["ni_sampler.base_reveals"] == sum(picks)
+    assert metrics["ni_sampler.gate_reveals"] == 16 - sum(picks) > 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain
+from conftest import random_chain, row_at
 from maskorder.core import MaskedSequence, SampleRecord, apply_steps, final_tokens, validate_partition
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import final_results_preserving, merge_trajectory
@@ -116,7 +116,11 @@ def test_greedy_policies_commit_the_argmax_of_the_revealing_state(instance, scor
             state = apply_steps(base, traj, k_step)
             out = den.query(state)
             for pos, tok in step:
-                assert tok == int(np.argmax(out.row(state.prompt_len + pos)))
+                assert tok == int(np.argmax(row_at(out, pos)))
+
+
+def zeros(out):
+    return np.zeros(len(out.positions), dtype=np.int64)
 
 
 class _Counting:
@@ -136,7 +140,7 @@ def test_the_loop_queries_once_per_step(instance):
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
 
     def first_masked(out, state):
-        return {out.positions[0] - state.prompt_len: 0}
+        return [0], zeros(out)
 
     steps = run_steps(counting, base, first_masked, gen_len)
     assert len(steps) == gen_len == counting.queries
@@ -152,7 +156,7 @@ def test_the_loop_stops_when_a_multi_position_policy_reveals_the_last_position(i
 
     def leftmost(out, state):
         seen.append(len(out.positions))
-        return {pos - state.prompt_len: 0 for pos in out.positions[:per_step]}
+        return np.arange(min(per_step, len(out.positions))), zeros(out)
 
     expected = -(-gen_len // per_step)
     # a budget of exactly the steps needed: one more iteration would exceed it
@@ -170,7 +174,7 @@ def test_a_policy_that_reveals_everything_at_once_takes_one_step(instance):
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
 
     def everything(out, state):
-        return {pos - state.prompt_len: 0 for pos in out.positions}
+        return np.ones(len(out.positions), dtype=bool), zeros(out)
 
     steps = run_steps(counting, base, everything, 1)
     assert len(steps) == counting.queries == 1
@@ -181,4 +185,33 @@ def test_a_stalled_policy_exhausts_the_step_budget():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)
     with pytest.raises(RuntimeError, match="step budget of 3"):
-        run_steps(den, base, lambda out, state: {}, 3)
+        run_steps(den, base, lambda out, state: ([], zeros(out)), 3)
+
+
+def test_a_row_chosen_twice_is_an_error():
+    den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
+    base = MaskedSequence.fully_masked((0,), 4, den.vocab)
+    with pytest.raises(ValueError, match="already revealed"):
+        run_steps(den, base, lambda out, state: ([1, 1], zeros(out)), 4)
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_a_mask_and_its_index_array_give_the_same_step(instance, data):
+    den, prompt, gen_len, _ = instance
+    base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=gen_len, max_size=gen_len)))
+    mask[data.draw(st.integers(0, gen_len - 1))] = True
+    # one token per generation position
+    tokens = np.array(data.draw(st.lists(st.integers(0, den.vocab.size - 1), min_size=gen_len, max_size=gen_len)))
+
+    def first_then_the_rest(first):
+        def choose(out, state):
+            rows = first if len(out.positions) == gen_len else np.arange(len(out.positions))
+            return rows, tokens[out.positions]
+
+        return choose
+
+    steps = [run_steps(den, base, first_then_the_rest(rows), 2) for rows in (mask, np.flatnonzero(mask))]
+    assert steps[0] == steps[1]
+    assert steps[0][0] == frozenset(zip(np.flatnonzero(mask).tolist(), tokens[mask].tolist()))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_posterior, permutation_chain, random_chain, sticky_chain
+from conftest import brute_force_posterior, permutation_chain, random_chain, row_at, sticky_chain
 from maskorder.core import MaskedSequence, Vocabulary, load_archive, save_archive
 from maskorder.denoiser import (
     LOG_FLOOR,
@@ -165,19 +165,19 @@ class TestMarkovPosterior:
         seq = MaskedSequence((0, 2, 0), 1, Vocabulary(2))
         out = markov_posterior(model, seq)
         # brute force over both completions: (0.81, 0.01) / 0.82
-        np.testing.assert_allclose(out.row(1), [0.81 / 0.82, 0.01 / 0.82], atol=1e-12)
+        np.testing.assert_allclose(row_at(out, 0), [0.81 / 0.82, 0.01 / 0.82], atol=1e-12)
 
     def test_leading_masked_position(self):
         model = MarkovModel(np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]))
         seq = MaskedSequence((2, 0), 0, Vocabulary(2))
-        np.testing.assert_allclose(markov_posterior(model, seq).row(0), [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(row_at(markov_posterior(model, seq), 0), [0.9, 0.1], atol=1e-12)
 
     def test_deterministic_chain_gives_delta_posteriors(self):
         model = permutation_chain(5)
         seq = MaskedSequence((2, 5, 5, 5), 1, Vocabulary(5))
         out = markov_posterior(model, seq)
-        for pos in (1, 2, 3):
-            assert out.row(pos).max() == pytest.approx(1.0)
+        for pos in (0, 1, 2):
+            assert row_at(out, pos).max() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force_enumeration(self, seed):
@@ -192,7 +192,7 @@ class TestMarkovPosterior:
         seq = MaskedSequence(tuple(tokens), 0, Vocabulary(V))
         out = markov_posterior(model, seq)
         for pos, expected in brute_force_posterior(model, seq).items():
-            np.testing.assert_allclose(out.row(pos), expected, atol=1e-10)
+            np.testing.assert_allclose(row_at(out, pos - seq.prompt_len), expected, atol=1e-10)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -210,7 +210,7 @@ class TestMarkovPosterior:
         seq = observed_masked_sequence(model, L, prompt_len, n_masked, rng)
         out = markov_posterior(model, seq)
         expected = brute_force_posterior(model, seq)
-        assert out.positions == tuple(expected)
+        assert out.positions.tolist() == [pos - prompt_len for pos in expected]
         assert np.max(np.abs(out.dists - np.stack(list(expected.values())))) < 1e-10
 
     @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ class TestMarkovPosterior:
         out = markov_posterior(model, seq)
         L = 5
         # position 2: nearest unmasked left is 0, no unmasked right
-        np.testing.assert_allclose(out.features[out.index_of(2)][8:], [2 / L, 1.0, 1.0])
+        np.testing.assert_allclose(out.features[out.positions.tolist().index(1)][8:], [2 / L, 1.0, 1.0])
 
     def test_reveal_argmax_and_requery_stays_normalized(self):
         rng = np.random.default_rng(3)
@@ -298,8 +298,7 @@ class TestMarkovPosterior:
             out = den.query(seq)
             assert np.all(np.isfinite(out.dists))
             np.testing.assert_allclose(out.dists.sum(axis=1), 1.0, atol=1e-9)
-            pos = out.positions[0]
-            seq = seq.reveal([(pos - seq.prompt_len, int(np.argmax(out.row(pos))))])
+            seq = seq.reveal([(int(out.positions[0]), int(np.argmax(out.dists[0])))])
 
 
 @st.composite
@@ -415,7 +414,7 @@ def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutp
     dr = np.where(right < L, (right - pos) / L, 1.0)
     masked_frac = np.full(len(pos), len(pos) / max(seq.gen_len, 1))
     features = np.concatenate([rows, np.stack([dl, dr, masked_frac], axis=1)], axis=1)
-    return DenoiserOutput(tuple(pos.tolist()), rows, features)
+    return DenoiserOutput(pos - seq.prompt_len, rows, features)
 
 
 def reference_temper(out: DenoiserOutput, temperature, noise_scale, rng) -> DenoiserOutput:
@@ -432,7 +431,8 @@ def reference_temper(out: DenoiserOutput, temperature, noise_scale, rng) -> Deno
 
 
 def assert_bitwise_equal(out: DenoiserOutput, ref: DenoiserOutput) -> None:
-    assert out.positions == ref.positions
+    assert out.positions.dtype == np.int64 and not out.positions.flags.writeable
+    assert out.positions.tolist() == ref.positions.tolist()
     for name in ("dists", "features"):
         a, b = getattr(out, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -497,14 +497,14 @@ def outputs(draw):
     """DenoiserOutput of distributions() over ascending positions."""
     rows = draw(distributions())
     M, V = rows.shape
-    positions = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=M, max_size=M))))
+    positions = np.array(sorted(draw(st.sets(st.integers(0, 20), min_size=M, max_size=M))), dtype=np.int64)
     return DenoiserOutput(positions, rows, np.arange(M * (V + 3), dtype=np.float64).reshape(M, V + 3))
 
 
 class TestExtractFeatures:
     def _single_row_output(self, row):
         row = np.asarray(row, dtype=np.float64)
-        return DenoiserOutput((0,), row[None, :], np.zeros((1, len(row) + 3)))
+        return DenoiserOutput(np.zeros(1, dtype=np.int64), row[None, :], np.zeros((1, len(row) + 3)))
 
     def test_hand_computed_top_slices(self):
         out = self._single_row_output([0.7, 0.2, 0.1])
@@ -549,17 +549,6 @@ class TestExtractFeatures:
         whole = extract_features(out, slice(None), k1, k2)
         for name in ("top_tokens", "top_logits", "hidden"):
             assert getattr(whole, name)[rows].tolist() == getattr(fb, name).tolist()
-
-
-class TestDenoiserOutput:
-    @settings(max_examples=30, deadline=None)
-    @given(outputs(), st.integers(0, 21))
-    def test_index_of_finds_exactly_the_covered_positions(self, out, pos):
-        if pos in out.positions:
-            assert out.positions[out.index_of(pos)] == pos
-        else:
-            with pytest.raises(KeyError):
-                out.index_of(pos)
 
 
 def _decode_and_merge(den, prompts, gen_len, cfg):
@@ -621,6 +610,25 @@ class TestReplay:
             recorded = _decode_and_merge(recorder, prompts, 7, cfg)
         assert recorded == _decode_and_merge(den, prompts, 7, cfg)
         assert _decode_and_merge(ReplayDenoiser(log), prompts, 7, cfg) == recorded
+
+    def test_the_archive_holds_absolute_positions_and_replay_serves_relative_ones(self, tmp_path):
+        den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.85)), 1.2, 0.3, seed=5)
+        log = tmp_path / "log.npz"
+        base = MaskedSequence.fully_masked((1, 2, 3), 5, den.vocab)
+        states = [base, base.reveal([(0, 1), (3, 2)]), base.reveal([(4, 0)])]
+        with RecordingDenoiser(den, log) as rec_den:
+            for state in states:
+                rec_den.query(state)
+        arrays, _ = load_archive(log)
+        live = [den.query(state) for state in states]
+        assert arrays["positions"].tolist() == [3 + pos for out in live for pos in out.positions.tolist()]
+        assert arrays["positions"].tolist() == [i for state in states for i in state.masked_positions()]
+        replay = ReplayDenoiser(log)
+        for state, out in zip(states, live):
+            served = replay.query(state)
+            assert served.positions.dtype == np.int64 and not served.positions.flags.writeable
+            assert served.positions.tolist() == out.positions.tolist() == [i - 3 for i in state.masked_positions()]
+            assert served.dists.tobytes() == out.dists.tobytes()
 
     def test_each_distinct_state_is_recorded_once(self, tmp_path):
         den = MarkovDenoiser(sticky_chain(4, 0.85))

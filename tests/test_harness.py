@@ -43,13 +43,13 @@ class TestEvaluate:
         ]
 
     def test_mean_steps_and_counts(self):
-        m = evaluate(self.recs, None, self.model)
+        m = evaluate(self.recs, self.recs, self.model)
         assert m.steps == pytest.approx(1.5)
         assert m.exact_match_rate == 1.0
         assert list(asdict(m)) == ["steps", "exact_match_rate", "seq_logprob"]
 
     def test_seq_logprob_is_the_chain_logprob_of_prompt_plus_output(self):
-        m = evaluate(self.recs[:1], None, self.model)
+        m = evaluate(self.recs[:1], self.recs[:1], self.model)
         expected = self.model.sequence_logprob([0, 0, 0])
         assert m.seq_logprob == pytest.approx(expected)
         assert expected == pytest.approx(np.log(0.25) + 2 * np.log(0.9))
@@ -69,7 +69,7 @@ class TestEvaluate:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            evaluate([], None, self.model)
+            evaluate([], [], self.model)
 
 
 class TestGenData:

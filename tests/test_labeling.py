@@ -101,8 +101,7 @@ def reference_label_state(record, k, denoiser, cfg):
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
     top1 = out.dists.max(axis=1).tolist()
     rows = []
-    for j, abs_pos in enumerate(out.positions):
-        pos = abs_pos - state.prompt_len
+    for j, pos in enumerate(out.positions.tolist()):
         label = 1 if pos in mergeable else 0
         if label == 1 and top1[j] < cfg.min_pos_prob:
             label = 0

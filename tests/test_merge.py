@@ -1,22 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, permutation_chain, resimulate_merge, sticky_chain
+from conftest import make_instance, min_steps, permutation_chain, random_chain, resimulate_merge, sticky_chain
 from maskorder.core import (
     MaskedSequence,
+    SampleRecord,
     Trajectory,
     Vocabulary,
     apply_steps,
     final_tokens,
     validate_partition,
 )
-from maskorder.denoiser import MarkovDenoiser
+from maskorder.denoiser import DenoiserOutput, MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import count_mergeable, final_results_preserving, merge_trajectory
-from maskorder.orders import DecodeConfig, decode
+from maskorder.orders import RULES, DecodeConfig, decode
 
 
 def full_step_reference(den, prompt, gen_len, seed=0):
     return decode(den, prompt, gen_len, DecodeConfig(seed=seed))
+
+
+class Always0:
+    """Stub denoiser whose argmax is always token 0."""
+
+    vocab = Vocabulary(4)
+    config_id = "stub"
+
+    def query(self, seq):
+        pos = np.array(seq.masked_positions()) - seq.prompt_len
+        rows = np.tile(np.array([0.7, 0.1, 0.1, 0.1]), (len(pos), 1))
+        return DenoiserOutput(pos, rows, np.zeros((len(pos), 7)))
 
 
 class TestCountMergeable:
@@ -137,21 +152,59 @@ class TestFinalResultsPreserving:
         assert frp.n <= record.trajectory.n
 
     def test_fallback_reveals_reference_order_when_nothing_matches(self):
-        # stub denoiser whose argmax is always token 0; reference finals are 1
-        class Always0:
-            vocab = Vocabulary(4)
-            config_id = "stub"
-
-            def query(self, seq):
-                from maskorder.denoiser import DenoiserOutput
-
-                pos = tuple(seq.masked_positions())
-                rows = np.tile(np.array([0.7, 0.1, 0.1, 0.1]), (len(pos), 1))
-                return DenoiserOutput(pos, rows, np.zeros((len(pos), 7)))
-
+        # the stub's argmax is always token 0; reference finals are 1
         wrong = Trajectory(tuple(frozenset({(pos, 1)}) for pos in (2, 0, 1)))
         base = MaskedSequence.fully_masked((0,), 3, Vocabulary(4))
         frp, report = final_results_preserving(wrong, base, Always0())
         assert frp.n == 3
         assert [sorted(s) for s in frp.steps] == [[(2, 1)], [(0, 1)], [(1, 1)]]
         assert report.preserved
+
+
+@st.composite
+def greedy_references(draw):
+    """A greedy reference decode over an exact or tempered random chain."""
+    V = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_chain(V, rng, diag_boost=draw(st.sampled_from([0.0, 1.0, 4.0])))
+    den = MarkovDenoiser(model)
+    if draw(st.booleans()):
+        den = TemperedDenoiser(den, draw(st.floats(0.7, 1.5)), noise_scale=0.3, seed=draw(st.integers(0, 99)))
+    prompt = model.sample_sequence(draw(st.integers(0, 2)), rng)
+    gen_len = draw(st.integers(1, 8))
+    cfg = DecodeConfig(rule=draw(st.sampled_from(RULES)), threshold=draw(st.sampled_from([None, 0.5, 0.8])))
+    return den, SampleRecord("ref", den.vocab, prompt, gen_len, decode(den, prompt, gen_len, cfg))
+
+
+@pytest.mark.parametrize("analysis", [merge_trajectory, final_results_preserving])
+def test_a_base_of_another_length_is_an_error(analysis):
+    den = MarkovDenoiser(sticky_chain(4, 0.8))
+    traj = full_step_reference(den, (1,), 4)
+    for gen_len in (3, 6):
+        with pytest.raises(ValueError, match=f"the reference reveals 4 positions, the base has {gen_len}"):
+            analysis(traj, MaskedSequence.fully_masked((1,), gen_len, den.vocab), den)
+
+
+class TestMinimumSteps:
+    """The exact optimum (conftest.min_steps) bounds both merge analyses from
+    below on greedy references: every merge group and every final-preserving
+    step is one of the search's moves."""
+
+    def test_a_deterministic_chain_needs_one_step(self):
+        den = MarkovDenoiser(permutation_chain(5))
+        traj = full_step_reference(den, (0,), 8)
+        assert min_steps(SampleRecord("p", den.vocab, (0,), 8, traj), den) == 1
+
+    def test_without_a_match_each_step_reveals_one_position(self):
+        wrong = Trajectory(tuple(frozenset({(pos, 1)}) for pos in (2, 0, 1)))
+        assert min_steps(SampleRecord("w", Vocabulary(4), (0,), 3, wrong), Always0()) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(greedy_references())
+    def test_no_order_beats_the_optimum(self, instance):
+        den, record = instance
+        optimum = min_steps(record, den)
+        merged, _ = merge_trajectory(record.trajectory, record.base(), den)
+        final, _ = final_results_preserving(record.trajectory, record.base(), den)
+        assert 1 <= optimum <= merged.n <= record.trajectory.n
+        assert optimum <= final.n

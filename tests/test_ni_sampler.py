@@ -153,17 +153,17 @@ class TestIndicatorBatches:
         for out, step in zip(den.outs, traj.steps):
             committed = dict(step)
             tokens = sample_tokens(out.dists, temperature, rng)
-            picked = select_positions(out, base)
-            for pos in picked:
-                assert committed[pos - len(prompt)] == tokens[out.index_of(pos)]
-            rest = [j for j, pos in enumerate(out.positions) if pos not in picked]
+            picked = select_positions(out, base).tolist()
+            for j in picked:
+                assert committed[int(out.positions[j])] == tokens[j]
+            rest = [j for j in range(len(out.positions)) if j not in picked]
             if not rest:
                 continue
             features = next(batches)
             assert len(features) == len(rest)
             ranked = extract_features(out, rest, k1, k2)
             for i, j in enumerate(rest):
-                pos = out.positions[j] - len(prompt)
+                pos = int(out.positions[j])
                 tok = tokens[j]
                 assert features.top_tokens[i, 0] == tok
                 assert features.top_logits[i, 0] == np.log(max(out.dists[j, tok], LOG_FLOOR))

@@ -18,8 +18,9 @@ from maskorder.orders import (
 
 
 def output_for(rows):
+    """An output over positions 3, 4, ..., so that a row index is not its position."""
     rows = np.asarray(rows, dtype=np.float64)
-    return DenoiserOutput(tuple(range(len(rows))), rows, np.zeros((len(rows), rows.shape[1] + 3)))
+    return DenoiserOutput(np.arange(3, 3 + len(rows)), rows, np.zeros((len(rows), rows.shape[1] + 3)))
 
 
 def score_row(row, rule):
@@ -89,26 +90,26 @@ class TestPositionScore:
             scores = [score_row(row, rule) for row in rows]
             assert position_scores(rows, rule).tolist() == scores
             # the full-step pick is the first best-scoring position
-            assert select_positions(output_for(rows), DecodeConfig(rule=rule)) == [scores.index(max(scores))]
+            assert select_positions(output_for(rows), DecodeConfig(rule=rule)).tolist() == [scores.index(max(scores))]
 
 
 class TestSelectPositions:
     def test_threshold_keeps_only_confident_positions(self):
         out = output_for([[0.95, 0.05], [0.6, 0.4]])
-        assert select_positions(out, DecodeConfig(threshold=0.9)) == [0]
-        assert select_positions(out, DecodeConfig(threshold=0.5)) == [0, 1]
+        assert select_positions(out, DecodeConfig(threshold=0.9)).tolist() == [0]
+        assert select_positions(out, DecodeConfig(threshold=0.5)).tolist() == [0, 1]
 
     def test_threshold_comparison_is_inclusive(self):
         out = output_for([[0.9, 0.1]])
-        assert select_positions(out, DecodeConfig(threshold=0.9)) == [0]
+        assert select_positions(out, DecodeConfig(threshold=0.9)).tolist() == [0]
 
     def test_empty_threshold_set_falls_back_to_best_position(self):
         out = output_for([[0.4, 0.6], [0.3, 0.7]])
-        assert select_positions(out, DecodeConfig(threshold=0.9)) == [1]
+        assert select_positions(out, DecodeConfig(threshold=0.9)).tolist() == [1]
 
     def test_full_step_tie_breaks_toward_low_position(self):
         out = output_for([[0.6, 0.4], [0.6, 0.4]])
-        assert select_positions(out, DecodeConfig()) == [0]
+        assert select_positions(out, DecodeConfig()).tolist() == [0]
 
 
 class _RiggedGenerator:
