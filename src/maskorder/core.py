@@ -132,7 +132,7 @@ class Trajectory:
 
     Each step-set holds the generation-relative positions revealed in one
     decoding step together with the committed tokens. A legal trajectory is an
-    ordered partition of the generation region.
+    ordered partition of the generation region; finals and step_of index it by position.
     """
 
     steps: tuple
@@ -148,6 +148,29 @@ class Trajectory:
     @property
     def n(self) -> int:
         return len(self.steps)
+
+    @property
+    def finals(self) -> np.ndarray:
+        """Each generation position's committed token, read-only int64."""
+        return self._position_table[0]
+
+    @property
+    def step_of(self) -> np.ndarray:
+        """Each generation position's 1-based revealing step, read-only int64."""
+        return self._position_table[1]
+
+    @cached_property
+    def _position_table(self) -> tuple:
+        """(finals, step_of), built on first use; ValueError when the steps do not partition 0..N-1."""
+        pairs = np.array([pair for step in self.steps for pair in step], dtype=np.int64).reshape(-1, 2)
+        order = np.argsort(pairs[:, 0])
+        if not all(self.steps) or not np.array_equal(pairs[order, 0], np.arange(len(pairs))):
+            report = validate_partition(self, range(len(np.unique(pairs[:, 0]))))
+            raise ValueError(f"invalid partition: {report.violations}")
+        finals = pairs[order, 1]
+        step_of = np.repeat(np.arange(1, self.n + 1), list(map(len, self.steps)))[order]
+        finals.flags.writeable = step_of.flags.writeable = False
+        return finals, step_of
 
 
 @dataclass
@@ -208,12 +231,7 @@ def apply_steps(base: MaskedSequence, traj: Trajectory, k: int) -> MaskedSequenc
 
 def final_tokens(traj: Trajectory) -> list:
     """Map each generation position to its committed token."""
-    pairs = dict(pair for step in traj.steps for pair in step)
-    n = len(pairs)
-    report = validate_partition(traj, range(n))
-    if not report.ok:
-        raise ValueError(f"invalid partition: {report.violations}")
-    return [pairs[i] for i in range(n)]
+    return traj.finals.tolist()
 
 
 @dataclass(frozen=True)

@@ -101,13 +101,11 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     traj = record.trajectory
     if not 1 <= k <= traj.n:
         raise ValueError(f"cut index {k} out of range 1..{traj.n}")
-    base = record.base()
-    state = apply_steps(base, traj, k)
+    state = apply_steps(record.base(), traj, k)
     if out is None:
         out = denoiser.query(state)
     idx = count_mergeable(traj, k, state, out)
-    mergeable = np.zeros(record.gen_len, dtype=bool)
-    mergeable[[pos for step in traj.steps[k - 1 : idx - 1] for pos, _ in step]] = True
+    mergeable = (k <= traj.step_of) & (traj.step_of < idx)
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
     top1 = out.dists.max(axis=1)
     label = (mergeable[out.positions] & ~(top1 < cfg.min_pos_prob)).astype(np.int64)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MaskedSequence, Trajectory, final_tokens
+from .core import MaskedSequence, Trajectory
 from .orders import run_steps
 
 __all__ = ["MergeReport", "count_mergeable", "merge_trajectory", "final_results_preserving"]
@@ -29,36 +29,32 @@ class MergeReport:
     preserved: bool
 
 
-def _check_state(traj: Trajectory, k: int, state_k: MaskedSequence) -> None:
-    revealed = dict(pair for step in traj.steps[: k - 1] for pair in step)
-    mask = state_k.vocab.mask_id
-    expected = tuple(revealed.get(pos, mask) for pos in range(state_k.gen_len))
-    have = state_k.tokens[state_k.prompt_len :]
-    if have != expected:
-        for pos, (actual, want) in enumerate(zip(have, expected)):
-            if actual != want:
-                raise ValueError(
-                    f"state_k inconsistent with trajectory prefix at position {pos}: "
-                    f"have {actual}, expected {want}"
-                )
+def _check_length(traj: Trajectory, gen_len: int) -> None:
+    if len(traj.finals) != gen_len:
+        raise ValueError(f"the reference reveals {len(traj.finals)} positions, the base has {gen_len}")
 
 
 def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> int:
     """Smallest step index idx > k whose tokens are not all argmax-predicted
     at the fixed state_k, or n+1 when every later step already matches.
 
-    All lookahead checks use out, the denoiser's answer at state_k.
+    All lookahead checks use out, the denoiser's answer at state_k. ValueError
+    when state_k is not the reference's state before step k.
     """
     if not 1 <= k <= traj.n:
         raise ValueError(f"step index {k} out of range 1..{traj.n}")
-    _check_state(traj, k, state_k)
+    _check_length(traj, state_k.gen_len)
+    have = state_k.token_array[state_k.prompt_len :]
+    expected = np.where(traj.step_of < k, traj.finals, state_k.vocab.mask_id)
+    if not np.array_equal(have, expected):
+        pos = np.argmax(have != expected)
+        raise ValueError(
+            f"state_k inconsistent with trajectory prefix at position {pos}: "
+            f"have {have[pos]}, expected {expected[pos]}"
+        )
     predicted = np.full(state_k.gen_len, -1)
     predicted[out.positions] = out.dists.argmax(axis=1)
-    predicted = predicted.tolist()
-    for idx in range(k + 1, traj.n + 1):
-        if any(predicted[pos] != tok for pos, tok in traj.steps[idx - 1]):
-            return idx
-    return traj.n + 1
+    return int(traj.step_of[(traj.step_of > k) & (predicted != traj.finals)].min(initial=traj.n + 1))
 
 
 def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
@@ -67,7 +63,7 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
     Tokens are carried from the reference, never re-sampled, so the merged
     trajectory's final tokens equal the reference's exactly.
     """
-    finals, step_of = _reference_arrays(traj, base.gen_len)
+    _check_length(traj, base.gen_len)
     groups = []
 
     def choose(out, state):
@@ -75,13 +71,13 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
         idx = count_mergeable(traj, k, state, out)
         groups.append((k, idx - 1))
         # count_mergeable checked that the masked positions are those of steps k..n
-        return step_of[out.positions] < idx, finals[out.positions]
+        return traj.step_of[out.positions] < idx, traj.finals[out.positions]
 
     merged_traj = Trajectory(
         run_steps(denoiser, base, choose, traj.n),
         meta={**traj.meta, "sampler": f"merge({traj.meta.get('sampler', '?')})"},
     )
-    return merged_traj, _report(traj, merged_traj, tuple(groups), finals)
+    return merged_traj, _report(traj, merged_traj, tuple(groups))
 
 
 def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
@@ -95,36 +91,27 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     tokens are always the reference finals, so the result is preserved by
     construction; only the step structure differs.
     """
-    finals, step_of = _reference_arrays(traj, base.gen_len)
+    _check_length(traj, base.gen_len)
 
     def choose(out, state):
-        tokens = finals[out.positions]
+        tokens = traj.finals[out.positions]
         rows = out.dists.argmax(axis=1) == tokens
         if not rows.any():  # the first masked row of the earliest reference step; positions ascend
-            rows = np.argmin(step_of[out.positions], keepdims=True)
+            rows = np.argmin(traj.step_of[out.positions], keepdims=True)
         return rows, tokens
 
     frp_traj = Trajectory(
         run_steps(denoiser, base, choose, base.gen_len),
         meta={**traj.meta, "sampler": f"final-preserving({traj.meta.get('sampler', '?')})"},
     )
-    return frp_traj, _report(traj, frp_traj, None, finals)
+    return frp_traj, _report(traj, frp_traj, None)
 
 
-def _reference_arrays(traj: Trajectory, gen_len: int) -> tuple:
-    """Each generation position's final token and the 1-based reference step that reveals it."""
-    finals = final_tokens(traj)  # checks that the steps partition the positions
-    if len(finals) != gen_len:
-        raise ValueError(f"the reference reveals {len(finals)} positions, the base has {gen_len}")
-    pos_step = sorted((pos, i) for i, step in enumerate(traj.steps, start=1) for pos, _ in step)
-    return np.array(finals, dtype=np.int64), np.array([i for _, i in pos_step], dtype=np.int64)
-
-
-def _report(traj: Trajectory, result: Trajectory, per_group, finals: np.ndarray) -> MergeReport:
+def _report(traj: Trajectory, result: Trajectory, per_group) -> MergeReport:
     return MergeReport(
         original_steps=traj.n,
         merged_steps=result.n,
         speedup=traj.n / result.n if result.n else 1.0,
         per_group=per_group,
-        preserved=final_tokens(result) == finals.tolist(),
+        preserved=np.array_equal(result.finals, traj.finals),
     )

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import MaskedSequence, Trajectory, apply_steps, final_tokens
+from .core import MaskedSequence, Trajectory
 from .denoiser import LOG_FLOOR, extract_features
 from .labeling import LabelingConfig, label_state
 from .orders import DecodeConfig, run_steps, sample_tokens, select_positions
@@ -92,23 +92,19 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
     preserving labeling marks positive with no probability floor.
     """
     traj = record.trajectory
-    base = record.base()
-    finals = np.array(final_tokens(traj))
     label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
     k = 1
 
     def choose(out, state):
         nonlocal k
-        if state.tokens != apply_steps(base, traj, k).tokens:
+        rows = label_state(record, k, denoiser, label_cfg, out=out).columns["label"] == 1
+        prefix = np.where(traj.step_of < k, traj.finals, state.vocab.mask_id)
+        if not np.array_equal(state.token_array[state.prompt_len :], prefix):
             raise AssertionError("oracle decode diverged from the reference trajectory")
-        cut = label_state(record, k, denoiser, label_cfg, out=out).columns
-        rows = cut["label"] == 1
-        chosen = set(cut["pos"][rows].tolist())
-        while k <= traj.n and all(pos in chosen for pos, _ in traj.steps[k - 1]):
-            k += 1
-        return rows, finals[out.positions]
+        k = int(traj.step_of[out.positions[~rows]].min(initial=traj.n + 1))  # the first step left masked
+        return rows, traj.finals[out.positions]
 
     return Trajectory(
-        run_steps(denoiser, base, choose, traj.n),
+        run_steps(denoiser, record.base(), choose, traj.n),
         meta={**traj.meta, "sampler": "oracle-indicator"},
     )

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The brute-force posterior, the naive merge re-simulation and the exact
+The brute-force posterior, the dict and loop derivations of a trajectory's
+position table and merge count, the naive merge re-simulation and the exact
 minimum-step search below are kept deliberately separate from the library
 implementations so they can serve as independent cross-checks.
 """
@@ -10,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, final_tokens
+from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, validate_partition
 from maskorder.denoiser import MarkovDenoiser, MarkovModel, TemperedDenoiser
 from maskorder.orders import DecodeConfig, decode
 
@@ -63,6 +64,33 @@ def row_at(out, pos: int) -> np.ndarray:
     return out.dists[j]
 
 
+def reference_table(traj) -> tuple:
+    """(finals, step_of) as lists over positions 0..N-1, from a dict of the
+    steps' pairs; ValueError("invalid partition: ...") when the steps do not
+    partition range(N), N the number of distinct positions."""
+    pairs = dict(pair for step in traj.steps for pair in step)
+    report = validate_partition(traj, range(len(pairs)))
+    if not report.ok:
+        raise ValueError(f"invalid partition: {report.violations}")
+    step_of = dict((pos, k) for k, step in enumerate(traj.steps, start=1) for pos, _ in step)
+    return [pairs[pos] for pos in range(len(pairs))], [step_of[pos] for pos in range(len(pairs))]
+
+
+def naive_count_mergeable(traj, k: int, state_k: MaskedSequence, out) -> int:
+    """count_mergeable as a loop over the reference steps after k, once a
+    dict of the steps before k has checked state_k (ValueError otherwise)."""
+    revealed = dict(pair for step in traj.steps[: k - 1] for pair in step)
+    mask = state_k.vocab.mask_id
+    expected = tuple(revealed.get(pos, mask) for pos in range(state_k.gen_len))
+    if state_k.tokens[state_k.prompt_len :] != expected:
+        raise ValueError("state_k inconsistent with trajectory prefix")
+    predicted = dict(zip(out.positions.tolist(), out.dists.argmax(axis=1).tolist()))
+    for idx in range(k + 1, traj.n + 1):
+        if any(predicted.get(pos) != tok for pos, tok in traj.steps[idx - 1]):
+            return idx
+    return traj.n + 1
+
+
 def resimulate_merge(record: SampleRecord, denoiser):
     """Naive replay of the step-merging loop with a fresh query per group.
 
@@ -95,7 +123,7 @@ def min_steps(record: SampleRecord, denoiser) -> int:
     token or, when there is none, any one masked position. At most 2^gen_len
     states and 3^gen_len moves: meant for gen_len up to about 10.
     """
-    finals = final_tokens(record.trajectory)
+    finals, _ = reference_table(record.trajectory)
     n = record.gen_len
     base = record.base()
     done = (1 << n) - 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_table
 from maskorder.core import (
     MaskedSequence,
     SampleRecord,
@@ -182,6 +183,49 @@ def test_random_partitions_validate_and_apply_monotonically(t):
         assert prev <= revealed
         prev = revealed
     assert final_tokens(t) == [apply_steps(base, t, t.n + 1).tokens[1 + i] for i in range(n_pos)]
+
+
+@st.composite
+def step_lists(draw):
+    """Steps that partition 0..n-1, or ones broken by an empty step, a repeated
+    position, a gap or a negative position."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(n)))
+    tokens = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    steps, i = [], 0
+    while i < n:
+        size = draw(st.integers(1, n - i))
+        steps.append([(pos, tokens[pos]) for pos in order[i : i + size]])
+        i += size
+    fault = draw(st.sampled_from([None, "empty", "repeat", "gap", "negative"]))
+    if fault == "empty" or not steps:
+        steps.insert(draw(st.integers(0, len(steps))), [])
+    elif fault is not None:
+        step = steps[draw(st.integers(0, len(steps) - 1))]
+        if fault == "repeat":  # a pair already in that step is no repeat, and the steps stay valid
+            step.append((draw(st.integers(0, n - 1)), draw(st.integers(0, 7))))
+        else:
+            step[0] = (n + draw(st.integers(0, 2)) if fault == "gap" else -draw(st.integers(1, 3)), step[0][1])
+    return Trajectory(tuple(frozenset(step) for step in steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_lists())
+def test_the_position_table_equals_the_dict_derivation(t):
+    try:
+        want = reference_table(t)
+    except ValueError as exc:
+        for name in ("finals", "step_of"):
+            with pytest.raises(ValueError, match="invalid partition") as raised:
+                getattr(t, name)
+            assert str(raised.value) == str(exc)
+        return
+    for got, expected in zip((t.finals, t.step_of), want):
+        assert got.dtype == np.int64 and got.tolist() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            got[:] = 0
+    assert t.finals is t.finals and t.step_of is t.step_of  # built once
+    assert final_tokens(t) == want[0]
 
 
 def test_jsonl_round_trip(tmp_path):

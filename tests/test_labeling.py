@@ -81,6 +81,13 @@ class TestLabelState:
         with pytest.raises(ValueError):
             label_state(record, record.trajectory.n + 1, den, CFG)
 
+    def test_a_reference_revealing_fewer_positions_than_gen_len_is_an_error(self):
+        den = MarkovDenoiser(sticky_chain(4, 0.9))
+        short = Trajectory((frozenset({(0, 1)}), frozenset({(1, 1)})))
+        record = SampleRecord("short", den.vocab, (1,), 5, short)
+        with pytest.raises(ValueError, match="the reference reveals 2 positions, the base has 5"):
+            label_state(record, 1, den, CFG)
+
     def test_examples_cover_exactly_the_masked_positions(self):
         den, record = make_instance(6)
         traj = record.trajectory

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, min_steps, permutation_chain, random_chain, resimulate_merge, sticky_chain
+from conftest import (
+    make_instance,
+    min_steps,
+    naive_count_mergeable,
+    permutation_chain,
+    random_chain,
+    resimulate_merge,
+    sticky_chain,
+)
 from maskorder.core import (
     MaskedSequence,
     SampleRecord,
@@ -77,6 +85,13 @@ class TestCountMergeable:
         tokens[1 + 1] = 2  # only the revealed position is left
         with pytest.raises(ValueError, match=r"at position 3: have 2, expected 5$"):
             count_mergeable(traj, 3, MaskedSequence(tuple(tokens), 1, den.vocab), None)
+
+    def test_a_reference_revealing_fewer_positions_than_the_state_is_an_error(self):
+        den = MarkovDenoiser(sticky_chain(4, 0.9))
+        short = Trajectory((frozenset({(0, 1)}), frozenset({(1, 1)})))
+        base = MaskedSequence.fully_masked((1,), 5, den.vocab)
+        with pytest.raises(ValueError, match="the reference reveals 2 positions, the base has 5"):
+            count_mergeable(short, 1, base, den.query(base))
 
     def test_shared_query_matches_a_fresh_one(self):
         # merge_trajectory counts each group from the query its decode step made
@@ -162,8 +177,9 @@ class TestFinalResultsPreserving:
 
 
 @st.composite
-def greedy_references(draw):
-    """A greedy reference decode over an exact or tempered random chain."""
+def references(draw, temperatures=(None,)):
+    """A reference decode over an exact or tempered random chain; greedy
+    unless a temperature is drawn from temperatures."""
     V = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = random_chain(V, rng, diag_boost=draw(st.sampled_from([0.0, 1.0, 4.0])))
@@ -172,8 +188,24 @@ def greedy_references(draw):
         den = TemperedDenoiser(den, draw(st.floats(0.7, 1.5)), noise_scale=0.3, seed=draw(st.integers(0, 99)))
     prompt = model.sample_sequence(draw(st.integers(0, 2)), rng)
     gen_len = draw(st.integers(1, 8))
-    cfg = DecodeConfig(rule=draw(st.sampled_from(RULES)), threshold=draw(st.sampled_from([None, 0.5, 0.8])))
+    cfg = DecodeConfig(
+        rule=draw(st.sampled_from(RULES)),
+        threshold=draw(st.sampled_from([None, 0.5, 0.8])),
+        temperature=draw(st.sampled_from(temperatures)),
+        seed=draw(st.integers(0, 99)),
+    )
     return den, SampleRecord("ref", den.vocab, prompt, gen_len, decode(den, prompt, gen_len, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(references(temperatures=(None, 1.0)))
+def test_count_mergeable_equals_the_naive_loop_at_every_cut(instance):
+    den, record = instance
+    traj = record.trajectory
+    for k in range(1, traj.n + 1):
+        state = apply_steps(record.base(), traj, k)
+        out = den.query(state)
+        assert count_mergeable(traj, k, state, out) == naive_count_mergeable(traj, k, state, out)
 
 
 @pytest.mark.parametrize("analysis", [merge_trajectory, final_results_preserving])
@@ -200,7 +232,7 @@ class TestMinimumSteps:
         assert min_steps(SampleRecord("w", Vocabulary(4), (0,), 3, wrong), Always0()) == 3
 
     @settings(max_examples=150, deadline=None)
-    @given(greedy_references())
+    @given(references())
     def test_no_order_beats_the_optimum(self, instance):
         den, record = instance
         optimum = min_steps(record, den)
