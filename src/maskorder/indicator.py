@@ -135,13 +135,18 @@ class IndicatorModel:
     def _forward(self, tok_ids, logits, hidden, cache=True):
         """Batch forward pass; returns (class probabilities, cache), all fresh
         arrays that the caller may overwrite. With cache=False the cache is
-        None, and each block's arrays go once the next block has read them."""
+        None: the token embeddings go once projected, and each residual block
+        runs in two (B, H) buffers besides its input, computing the SiLU
+        product in u's and the block output in sg's. The bytes are those of
+        cache=True."""
         self._check_geometry(tok_ids, logits, hidden)
         p = self.params
         B = tok_ids.shape[0]
         e_flat = p["emb"][tok_ids].reshape(B, -1)
         x = np.concatenate([e_flat @ p["w_tok"], logits @ p["w_log"], hidden @ p["w_hid"]], axis=1)
         x += np.concatenate([p["b_tok"], p["b_log"], p["b_hid"]])
+        if not cache:
+            del e_flat
         blocks = []
         for i in range(self.config.depth):
             u = x @ p[f"w1_{i}"]
@@ -151,10 +156,12 @@ class IndicatorModel:
             np.exp(sg, out=sg)
             sg += 1.0
             np.reciprocal(sg, out=sg)
-            a = u * sg
             if cache:
+                a = u * sg
                 blocks.append((x, u, sg, a))
-            t = a @ p[f"w2_{i}"]
+                t = a @ p[f"w2_{i}"]
+            else:
+                t = np.matmul(np.multiply(u, sg, out=u), p[f"w2_{i}"], out=sg)
             t += x
             t += p[f"b2_{i}"]
             x = t

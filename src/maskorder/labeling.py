@@ -96,7 +96,8 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     Rows view of the cut's columns.
 
     out, when given, is the denoiser's answer at that cut's state, which
-    saves the query.
+    saves the query. ValueError naming the record and k when the answer's
+    positions are not exactly the cut's masked positions.
     """
     traj = record.trajectory
     if not 1 <= k <= traj.n:
@@ -104,6 +105,14 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     state = apply_steps(record.base(), traj, k)
     if out is None:
         out = denoiser.query(state)
+    # the state's masked positions, which count_mergeable checks are those
+    # with k <= step_of
+    masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)
+    if not np.array_equal(out.positions, masked):
+        raise ValueError(
+            f"record {record.id!r}, cut {k}: the denoiser answered {len(out.positions)} positions, "
+            f"not exactly the cut's {len(masked)} masked positions"
+        )
     idx = count_mergeable(traj, k, state, out)
     mergeable = (k <= traj.step_of) & (traj.step_of < idx)
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
@@ -121,21 +130,39 @@ def build_dataset(
     rng: np.random.Generator,
     cfg: LabelingConfig,
 ) -> DatasetFile:
-    """Concatenate label_state outputs over random cuts of every trajectory.
+    """label_state outputs over random cuts of every trajectory, in record
+    and then cut order, as one dataset.
 
     Cut indices are drawn uniformly from {1..n}, without replacement where the
-    trajectory is long enough.
+    trajectory is long enough. Every cut is drawn first, so that each column
+    is allocated once at its final length (a cut at k labels the positions
+    revealed at step k or later) and each cut's answer is copied into its
+    slice: the build holds the columns and one cut's answer, no more.
     """
     if cuts_per_traj < 1:
         raise ValueError("cuts_per_traj must be >= 1")
-    parts = []
+    cuts = []
     for record in records:
         n = record.trajectory.n
-        cuts = rng.choice(n, size=min(cuts_per_traj, n), replace=False) + 1
-        for k in sorted(int(c) for c in cuts):
-            parts.append(label_state(record, k, denoiser, cfg).columns)
-    if not parts:
+        drawn = rng.choice(n, size=min(cuts_per_traj, n), replace=False) + 1
+        cuts.extend((record, k) for k in sorted(int(c) for c in drawn))
+    if not cuts:
         raise ValueError("no trajectory has a step to label")
+    sizes = [np.count_nonzero(record.trajectory.step_of >= k) for record, k in cuts]
+    total = sum(sizes)
+    # the widest id, at least U1, as concatenating the cuts' id columns gives
+    id_dtype = np.array([record.id for record, _ in cuts]).dtype
+    columns, at = None, 0
+    for (record, k), size in zip(cuts, sizes):
+        part = label_state(record, k, denoiser, cfg).columns
+        if columns is None:
+            columns = {
+                name: np.empty((total, *a.shape[1:]), id_dtype if name == "traj_id" else a.dtype)
+                for name, a in part.items()
+            }
+        for name, a in part.items():
+            columns[name][at : at + size] = a
+        at += size
     config = {
         "K1": cfg.k1,
         "K2": cfg.k2,
@@ -144,7 +171,7 @@ def build_dataset(
         "min_pos_prob": cfg.min_pos_prob,
         "denoiser": denoiser.config_id,
     }
-    return DatasetFile({name: np.concatenate([p[name] for p in parts]) for name in _COLUMNS}, config)
+    return DatasetFile(columns, config)
 
 
 def save_dataset(ds: DatasetFile, path) -> None:
@@ -158,8 +185,8 @@ def load_dataset(path) -> DatasetFile:
 
     Raises ValueError naming the path when load_archive does, K1/K2/F/V are
     not positive integers, K1 or K2 exceeds V, the arrays are not exactly the
-    columns, a shape disagrees, or a token id lies outside [0, V) or a label
-    outside {0, 1}.
+    columns, a shape disagrees, a token id lies outside [0, V), a label
+    outside {0, 1}, or top_logits, hidden or top1_prob holds NaN or ±inf.
     """
     arrays, config = load_archive(path)
     bad = [key for key in ("K1", "K2", "F", "V") if type(config.get(key)) is not int or config[key] < 1]
@@ -183,4 +210,7 @@ def load_dataset(path) -> DatasetFile:
         raise ValueError(f"{path}: token ids must lie in [0, {config['V']})")
     if not np.all((arrays["label"] == 0) | (arrays["label"] == 1)):
         raise ValueError(f"{path}: labels must be 0 or 1")
+    for name in ("top_logits", "hidden", "top1_prob"):
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: column {name} holds NaN or infinite values")
     return DatasetFile({name: arrays[name] for name in _COLUMNS}, config)

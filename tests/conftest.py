@@ -7,6 +7,7 @@ implementations so they can serve as independent cross-checks.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,16 @@ import pytest
 from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, validate_partition
 from maskorder.denoiser import MarkovDenoiser, MarkovModel, TemperedDenoiser
 from maskorder.orders import DecodeConfig, decode
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sticky_chain(V: int, stay: float) -> MarkovModel:

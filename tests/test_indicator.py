@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from maskorder.denoiser import FeatureBundle
 from maskorder.labeling import DatasetFile
 from maskorder.indicator import (
@@ -460,6 +461,13 @@ class TestBitEqualityAtBenchGeometry:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_scoring_runs_each_block_in_two_buffers(self, model):
+        # a (1303, 64) float64 array is 0.64 MiB; scoring holds at most three
+        # at once: a block's input and its two buffers, or the token
+        # embeddings, their projections and the backbone input
+        tok_ids, logits, hidden, _ = random_batch(BENCH, 1303, np.random.default_rng(3))
+        assert traced_peak(model.score_batch, tok_ids, logits, hidden) < 2.25 * 2**20
 
     def test_inputs_params_and_grads_are_left_unchanged(self, model):
         batch = random_batch(BENCH, 256, np.random.default_rng(9))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, permutation_chain, random_chain, sticky_chain
+from conftest import make_instance, permutation_chain, random_chain, sticky_chain, traced_peak
 from maskorder import labeling
 from maskorder.core import MaskedSequence, SampleRecord, Trajectory, Vocabulary, apply_steps, save_archive
-from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser, extract_features
+from maskorder.denoiser import DenoiserOutput, MarkovDenoiser, TemperedDenoiser, extract_features
 from maskorder.indicator import batch_arrays
 from maskorder.labeling import (
     DEFAULT_MIN_POS_PROB,
@@ -87,6 +87,26 @@ class TestLabelState:
         record = SampleRecord("short", den.vocab, (1,), 5, short)
         with pytest.raises(ValueError, match="the reference reveals 2 positions, the base has 5"):
             label_state(record, 1, den, CFG)
+
+    def test_an_answer_that_is_not_the_cuts_masked_positions_is_an_error(self):
+        den, record = make_instance(6)
+
+        class DropsLastRow:
+            def query(self, state):
+                out = den.query(state)
+                return DenoiserOutput(out.positions[:-1], out.dists[:-1], out.features[:-1])
+
+        k = record.trajectory.n // 2
+        masked = int(np.count_nonzero(record.trajectory.step_of >= k))
+        message = rf"record 'inst-6', cut {k}: .* {masked - 1} positions, not exactly the cut's {masked} masked"
+        with pytest.raises(ValueError, match=message):
+            label_state(record, k, DropsLastRow(), CFG)
+        with pytest.raises(ValueError, match=r"record 'inst-6', cut 1: "):
+            label_state(record, 1, None, CFG, out=DropsLastRow().query(record.base()))
+        out = den.query(record.base())
+        shifted = DenoiserOutput(out.positions + 1, out.dists, out.features)  # the last one past the region
+        with pytest.raises(ValueError, match=r"cut 1: .* 64 positions, not exactly the cut's 64 masked"):
+            label_state(record, 1, None, CFG, out=shifted)
 
     def test_examples_cover_exactly_the_masked_positions(self):
         den, record = make_instance(6)
@@ -207,6 +227,22 @@ class TestBuildDataset:
         record = record_for(den, (0,), 6)
         ds = build_dataset([record], den, 1, np.random.default_rng(0), CFG)
         assert ds.positive_fraction == 1.0
+
+    def test_the_build_holds_little_beyond_its_columns(self):
+        # each column is allocated once at its final length, and the build
+        # holds one cut's answer beyond the columns
+        den, record = make_instance(3)  # V 8, gen_len 64
+        records = [
+            SampleRecord(f"r{i}", den.vocab, record.prompt, 64, decode(den, record.prompt, 64, DecodeConfig(seed=i)))
+            for i in range(4)
+        ]
+
+        def build():
+            return build_dataset(records, den, 16, np.random.default_rng(0), LabelingConfig(4, 8, 0.0))
+
+        columns = build().columns  # also fills the trajectories' position tables
+        assert len(columns["label"]) > 1500
+        assert traced_peak(build) <= 1.25 * sum(a.nbytes for a in columns.values())
 
     def test_empty_inputs_rejected(self):
         den, record = make_instance(2)
@@ -447,6 +483,13 @@ class TestLoadValidation:
                 np.savez(fh, **edited)
             with pytest.raises(ValueError, match=r"train\.npz: holds arrays"):
                 load_dataset(saved)
+
+    @pytest.mark.parametrize("column", ["top_logits", "hidden", "top1_prob"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_value_that_is_not_finite(self, saved, column, value):
+        self.tamper(saved, column, self.set_entry(-1, value))
+        with pytest.raises(ValueError, match=rf"train\.npz: column {column} holds NaN or infinite values"):
+            load_dataset(saved)
 
     def test_flipped_byte_fails_the_crc(self, saved):
         with np.load(saved) as npz:
