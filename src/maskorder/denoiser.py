@@ -150,11 +150,12 @@ class MarkovModel:
 
 @dataclass(frozen=True)
 class DenoiserOutput:
-    """Per-masked-position probability rows plus per-position feature vectors."""
+    """Per-masked-position probability rows plus per-position feature vectors
+    (F = 3 context columns for a MarkovDenoiser), read-only where shared."""
 
     positions: np.ndarray  # (n_masked,) read-only int64 generation-relative positions, ascending
     dists: np.ndarray  # (n_masked, V)
-    features: np.ndarray  # (n_masked, F)
+    features: np.ndarray  # (n_masked, F), read-only
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,10 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     with (pi*T^i)[v] as the left factor when there is no left neighbour and 1
     as the right factor when there is no right one, gathered from the model's
     cached powers (MarkovModel.transition_powers). Prompt tokens are ordinary
-    observations. Evidence of zero probability raises DenoiserError. The rows
-    are the first V columns of the features; the last three are the distances
-    to the nearest observed neighbour on the left and on the right (over L,
-    1.0 where there is none) and the masked fraction.
+    observations. Evidence of zero probability raises DenoiserError. The
+    features are three read-only context columns, not the rows again: the
+    distances to the nearest observed neighbour on the left and on the right
+    (over L, 1.0 where there is none) and the masked fraction.
     """
     V, L = model.V, len(seq)
     tokens = seq.token_array
@@ -216,18 +217,18 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     before, after = j[a:] - 1, j[:b]  # the neighbours' indices into obs
     gap_left, gap_right = pos[a:] - obs[before], obs[after] - pos[:b]
 
-    features = np.empty((len(pos), V + 3))
-    rows = features[:, :V]
+    rows = np.empty((len(pos), V))
     rows[:a] = pi_pows[pos[:a]]
     rows[a:] = t_pows[gap_left, seen[before]]
     rows[:b] *= t_pows[gap_right, :, seen[after]]
     rows /= rows.sum(axis=1, keepdims=True)
-    features[:a, V] = features[b:, V + 1] = 1.0
-    features[a:, V] = gap_left / L
-    features[:b, V + 1] = gap_right / L
-    features[:, V + 2] = len(pos) / max(seq.gen_len, 1)
+    features = np.empty((len(pos), 3))
+    features[:a, 0] = features[b:, 1] = 1.0
+    features[a:, 0] = gap_left / L
+    features[:b, 1] = gap_right / L
+    features[:, 2] = len(pos) / max(seq.gen_len, 1)
     pos -= seq.prompt_len
-    pos.flags.writeable = False
+    pos.flags.writeable = features.flags.writeable = False
     return DenoiserOutput(pos, rows, features)
 
 
@@ -240,8 +241,7 @@ def temper(
     """Flatten/sharpen rows and add log-space gaussian noise.
 
     Each row becomes softmax(log p / temperature + N(0, noise_scale)), so a
-    zero probability stays exactly zero; the new rows overwrite the leading V
-    columns of a copy of the features, the context tail is kept.
+    zero probability stays exactly zero; out.features pass through, shared.
     """
     if not 0 < temperature < np.inf:
         raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
@@ -256,9 +256,7 @@ def temper(
     rows -= rows.max(axis=1, keepdims=True)
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    features = out.features.copy()
-    features[:, : rows.shape[1]] = rows
-    return DenoiserOutput(out.positions, rows, features)
+    return DenoiserOutput(out.positions, rows, out.features)
 
 
 def extract_features(out: DenoiserOutput, rows, k1: int, k2: int) -> FeatureBundle:
@@ -283,7 +281,7 @@ class MarkovDenoiser:
     def __init__(self, model: MarkovModel):
         self.model = model
         self.vocab = Vocabulary(model.V)
-        self.feature_dim = model.V + 3
+        self.feature_dim = 3
         self.config_id = "markov"
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
@@ -295,7 +293,8 @@ class TemperedDenoiser:
 
     The noise stream is seeded from (seed, state hash), so re-querying the
     same state reproduces the same rows; this keeps merge analyses and their
-    re-simulations consistent without sharing a mutable RNG.
+    re-simulations consistent without sharing a mutable RNG. The inner
+    features, of any width, pass through unchanged.
     """
 
     def __init__(self, inner, temperature: float = 1.0, noise_scale: float = 0.0, seed: int = 0):
@@ -303,8 +302,6 @@ class TemperedDenoiser:
             raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
         if not 0 <= noise_scale < np.inf:
             raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
-        if inner.feature_dim < inner.vocab.size:  # a replay archive may hold any F >= 1
-            raise DenoiserError(f"feature_dim {inner.feature_dim} < V={inner.vocab.size}: temper replaces V features")
         self.inner = inner
         self.temperature = temperature
         self.noise_scale = noise_scale

@@ -44,7 +44,7 @@ class IndicatorConfig:
     vocab_size: int
     k1: int = 4
     k2: int = 8
-    feature_dim: int = 11
+    feature_dim: int = 3
     emb_dim: int = 32
     hidden_dim: int = 128
     depth: int = 3

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import weakref
 from pathlib import Path
@@ -275,10 +276,10 @@ class TestMarkovPosterior:
     def test_feature_dimension_and_finiteness(self):
         model = sticky_chain(8, 0.9)
         den = MarkovDenoiser(model)
-        assert den.feature_dim == 8 + 3
+        assert den.feature_dim == 3  # the context columns only; the rows are dists
         seq = MaskedSequence((3, M, M, 1, M), 1, Vocabulary(8))
         out = den.query(seq)
-        assert out.features.shape == (3, 11)
+        assert out.features.shape == (3, 3)
         assert np.all(np.isfinite(out.features))
 
     def test_context_feature_values(self):
@@ -287,7 +288,7 @@ class TestMarkovPosterior:
         out = markov_posterior(model, seq)
         L = 5
         # position 2: nearest unmasked left is 0, no unmasked right
-        np.testing.assert_allclose(out.features[out.positions.tolist().index(1)][8:], [2 / L, 1.0, 1.0])
+        np.testing.assert_allclose(out.features[out.positions.tolist().index(1)], [2 / L, 1.0, 1.0])
 
     def test_reveal_argmax_and_requery_stays_normalized(self):
         rng = np.random.default_rng(3)
@@ -367,23 +368,43 @@ class TestTemper:
         for seed in range(100):
             decode(den, (0,), 8, DecodeConfig(temperature=1.0, seed=seed))
 
-    def test_features_track_new_rows(self):
-        tempered = temper(self.out, 3.0, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(tempered.features[:, :4], tempered.dists)
-        np.testing.assert_array_equal(tempered.features[:, 4:], self.out.features[:, 4:])
+    def test_features_pass_through_shared_and_read_only(self):
+        assert temper(self.out, 3.0, 0.5, np.random.default_rng(0)).features is self.out.features
+        seq = MaskedSequence((1, 4, 4), 1, Vocabulary(4))
+        inner = MarkovDenoiser(sticky_chain(4, 0.9))
+        features = TemperedDenoiser(inner, 3.0, 0.5, seed=1).query(seq).features
+        assert features.tobytes() == inner.query(seq).features.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 0.0
 
-    def test_an_inner_denoiser_with_fewer_features_than_tokens_is_rejected(self, tmp_path):
-        log = tmp_path / "narrow.npz"
-        arrays = {
-            "state": np.array(["s"]),
-            "offsets": np.array([0, 1]),
-            "positions": np.array([0]),
-            "rows": np.full((1, 4), 0.25),
-            "hidden": np.zeros((1, 1)),
-        }
-        save_archive(log, arrays, {"V": 4, "F": 1, "denoiser": "stub"})
-        with pytest.raises(DenoiserError, match="feature_dim 1 < V=4"):
-            TemperedDenoiser(ReplayDenoiser(log), 2.0)
+    def test_an_inner_denoiser_with_fewer_features_than_tokens_is_tempered(self, tmp_path):
+        # an archive of every state of a 4-position generation after prompt (0,),
+        # narrowed to its masked-fraction column: F = 1 < V = 3
+        model = random_chain(3, np.random.default_rng(4))
+        wide, narrow, again = tmp_path / "wide.npz", tmp_path / "narrow.npz", tmp_path / "again.npz"
+        with RecordingDenoiser(MarkovDenoiser(model), wide) as rec_den:
+            for gen in itertools.product(range(4), repeat=4):
+                if 3 in gen:
+                    rec_den.query(MaskedSequence((0,) + gen, 1, Vocabulary(3)))
+        arrays, meta = load_archive(wide)
+        arrays["hidden"] = arrays["hidden"][:, 2:]
+        save_archive(narrow, arrays, {**meta, "F": 1})
+        live = TemperedDenoiser(MarkovDenoiser(model), 2.0, 0.4, seed=3)
+        tempered = TemperedDenoiser(ReplayDenoiser(narrow), 2.0, 0.4, seed=3)
+        assert tempered.feature_dim == 1
+        narrow_hidden = dict(zip(arrays["state"].tolist(), np.split(arrays["hidden"], arrays["offsets"][1:-1])))
+        for cfg in (DecodeConfig(seed=0), DecodeConfig(threshold=0.5, temperature=1.0, seed=1)):
+            with RecordingDenoiser(tempered, again) as rec_den:
+                traj = decode(rec_den, (0,), 4, cfg)
+            assert traj == decode(live, (0,), 4, cfg) == decode(ReplayDenoiser(again), (0,), 4, cfg)
+            served, _ = load_archive(again)
+            for h, hidden in zip(served["state"].tolist(), np.split(served["hidden"], served["offsets"][1:-1])):
+                assert hidden.tobytes() == narrow_hidden[h].tobytes()
+        seq = MaskedSequence((0, 3, 1, 3, 3), 1, Vocabulary(3))
+        out, narrow_out = tempered.query(seq), ReplayDenoiser(narrow).query(seq)
+        assert out.dists.tobytes() == live.query(seq).dists.tobytes()
+        assert out.features.tobytes() == narrow_out.features.tobytes()
+        assert out.features.shape == (3, 1) and not out.features.flags.writeable
 
     def test_wrapper_is_pure_in_the_state(self):
         den = TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.1, 0.5, seed=7)
@@ -391,7 +412,7 @@ class TestTemper:
         assert np.array_equal(den.query(seq).dists, den.query(seq).dists)
 
 
-# -- reference: the query path with boolean-mask gathers and concatenated features --
+# -- reference: the query path with boolean-mask gathers and stacked features --
 
 
 def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
@@ -413,12 +434,11 @@ def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutp
     dl = np.where(left >= 0, (pos - left) / L, 1.0)
     dr = np.where(right < L, (right - pos) / L, 1.0)
     masked_frac = np.full(len(pos), len(pos) / max(seq.gen_len, 1))
-    features = np.concatenate([rows, np.stack([dl, dr, masked_frac], axis=1)], axis=1)
-    return DenoiserOutput(pos - seq.prompt_len, rows, features)
+    return DenoiserOutput(pos - seq.prompt_len, rows, np.stack([dl, dr, masked_frac], axis=1))
 
 
 def reference_temper(out: DenoiserOutput, temperature, noise_scale, rng) -> DenoiserOutput:
-    """Tempering on fresh arrays, always dividing, features concatenated."""
+    """Tempering on fresh arrays, always dividing; the features are kept."""
     with np.errstate(divide="ignore"):
         logp = np.log(out.dists) / temperature
     if noise_scale > 0:
@@ -426,12 +446,12 @@ def reference_temper(out: DenoiserOutput, temperature, noise_scale, rng) -> Deno
     logp -= logp.max(axis=1, keepdims=True)
     rows = np.exp(logp)
     rows /= rows.sum(axis=1, keepdims=True)
-    V = rows.shape[1]
-    return DenoiserOutput(out.positions, rows, np.concatenate([rows, out.features[:, V:]], axis=1))
+    return DenoiserOutput(out.positions, rows, out.features)
 
 
 def assert_bitwise_equal(out: DenoiserOutput, ref: DenoiserOutput) -> None:
     assert out.positions.dtype == np.int64 and not out.positions.flags.writeable
+    assert not out.features.flags.writeable
     assert out.positions.tolist() == ref.positions.tolist()
     for name in ("dists", "features"):
         a, b = getattr(out, name), getattr(ref, name)
@@ -583,7 +603,7 @@ class TestReplay:
         with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:
             reference = decode(rec_den, prompt, 8, cfg)
         replay = ReplayDenoiser(log)
-        assert (replay.vocab.size, replay.feature_dim) == (4, 7)
+        assert (replay.vocab.size, replay.feature_dim) == (4, 3)
         assert decode(replay, prompt, 8, cfg).steps == reference.steps
 
     @settings(max_examples=40, deadline=None)
@@ -639,7 +659,7 @@ class TestReplay:
                     decode(rec_den, (1,), 6, DecodeConfig(seed=0))
         arrays, meta = load_archive(twice)
         assert arrays["state"].size == 6  # full-step decode: one query per position
-        assert meta == {"V": 4, "F": 7, "denoiser": "markov"}
+        assert meta == {"V": 4, "F": 3, "denoiser": "markov"}
         assert once.read_bytes() == twice.read_bytes()
 
     def test_unknown_state_is_an_error(self, tmp_path):
@@ -690,7 +710,7 @@ class TestReplay:
             (lambda a, m: a.update(positions=a["positions"] * 1.0), "column positions has dtype float64"),
             (lambda a, m: a.update(rows=a["rows"].astype(str)), "column rows has dtype <U"),
             (lambda a, m: a.update(rows=np.pad(a["rows"], ((0, 0), (0, 1)))), r"column rows .*shape \(\d+, 4\)"),
-            (lambda a, m: a.update(hidden=a["hidden"][:, 1:]), r"column hidden .*shape \(\d+, 7\)"),
+            (lambda a, m: a.update(hidden=a["hidden"][:, 1:]), r"column hidden .*shape \(\d+, 3\)"),
             (lambda a, m: a.update(offsets=a["offsets"][:-1]), "column offsets"),
             (lambda a, m: a.update(offsets=a["offsets"] + 1), "offsets must rise strictly from 0"),
             (lambda a, m: a["offsets"].__setitem__(1, 0), "offsets must rise strictly from 0"),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
-from maskorder.denoiser import FeatureBundle
+from conftest import random_chain, traced_peak
+from maskorder.denoiser import FeatureBundle, MarkovDenoiser
 from maskorder.labeling import DatasetFile
 from maskorder.indicator import (
     CheckpointError,
@@ -72,6 +72,11 @@ class TestModelBasics:
         for H in (3, 9, 128, 768):
             cfg = IndicatorConfig(vocab_size=6, k1=2, k2=3, feature_dim=4, hidden_dim=H)
             assert sum(cfg.group_widths) == H
+
+    @pytest.mark.parametrize("V", [8, 16, 32])
+    def test_the_default_feature_dim_fits_a_markov_denoiser(self, V):
+        den = MarkovDenoiser(random_chain(V, np.random.default_rng(V)))
+        assert IndicatorConfig(vocab_size=V).feature_dim == den.feature_dim
 
     def test_num_params_counts_every_array(self):
         model = IndicatorModel.init(SMALL, np.random.default_rng(0))
@@ -423,7 +428,7 @@ class TestBitEquality:
 
 
 # the indicator geometry of the label-train and ni-short benchmark workloads
-BENCH = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=11, emb_dim=16, hidden_dim=64, depth=2)
+BENCH = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=3, emb_dim=16, hidden_dim=64, depth=2)
 
 
 class TestBitEqualityAtBenchGeometry:
