@@ -50,16 +50,16 @@ def separable_dataset(cfg, N, rng):
     cutoff = np.median(logits[:, 0])
     rows = [(rng.integers(0, cfg.vocab_size, size=cfg.k1), rng.normal(size=cfg.feature_dim)) for _ in range(N)]
     columns = {
-        "top_tokens": np.array([tokens for tokens, _ in rows]),
+        "top_tokens": np.array([tokens for tokens, _ in rows], np.int32),
         "top_logits": np.ascontiguousarray(logits),
         "hidden": np.array([hidden for _, hidden in rows]),
-        "label": (logits[:, 0] > cutoff).astype(np.int64),
+        "label": (logits[:, 0] > cutoff).astype(np.int32),
         "top1_prob": np.zeros(N),
-        "traj_id": np.full(N, "synthetic"),
-        "k": np.ones(N, dtype=np.int64),
-        "pos": np.arange(N),
+        "traj_id": np.zeros(N, np.int32),
+        "k": np.ones(N, np.int32),
+        "pos": np.arange(N, dtype=np.int32),
     }
-    return DatasetFile(columns)
+    return DatasetFile(columns, {"traj_ids": ["synthetic"]})
 
 
 class TestModelBasics:

@@ -11,9 +11,18 @@ from conftest import make_instance, permutation_chain, random_chain, sticky_chai
 from maskorder import labeling
 from maskorder.core import MaskedSequence, SampleRecord, Trajectory, Vocabulary, apply_steps, save_archive
 from maskorder.denoiser import DenoiserOutput, MarkovDenoiser, TemperedDenoiser, extract_features
-from maskorder.indicator import batch_arrays
+from maskorder.indicator import (
+    IndicatorConfig,
+    IndicatorModel,
+    TrainHyper,
+    batch_arrays,
+    loss_and_grad,
+    save_checkpoint,
+    train,
+)
 from maskorder.labeling import (
     DEFAULT_MIN_POS_PROB,
+    DatasetFile,
     LabeledExample,
     LabelingConfig,
     build_dataset,
@@ -134,7 +143,7 @@ def reference_label_state(record, k, denoiser, cfg):
             label = 0
         rows.append(
             dict(
-                top_tokens=features.top_tokens[j],
+                top_tokens=features.top_tokens[j].astype(np.int32),  # token ids are stored as int32
                 top_logits=features.top_logits[j],
                 hidden=features.hidden[j],
                 label=label,
@@ -244,6 +253,16 @@ class TestBuildDataset:
         assert len(columns["label"]) > 1500
         assert traced_peak(build) <= 1.25 * sum(a.nbytes for a in columns.values())
 
+    def test_the_id_table_has_one_entry_per_record(self):
+        den, record = make_instance(2)
+        empty = SampleRecord("e", record.vocab, record.prompt, 0, Trajectory(()))
+        ds = build_dataset([record, empty, record], den, 2, np.random.default_rng(0), CFG)
+        # records that share an id stay distinct, and a record without a step keeps its entry
+        assert ds.config["traj_ids"] == [record.id, "e", record.id]
+        indices = ds.columns["traj_id"].tolist()
+        assert indices == sorted(indices) and set(indices) == {0, 2}
+        assert {ex.traj_id for ex in ds.examples} == {record.id}
+
     def test_empty_inputs_rejected(self):
         den, record = make_instance(2)
         with pytest.raises(ValueError):
@@ -284,16 +303,32 @@ class TestDatasetIO:
         assert len(load_dataset(tmp_path / "train.jsonl").examples) == len(ds.examples)
 
 
+# the dataset layout: each field's column dtype, spelled out here so that a
+# change to labeling._COLUMNS fails the tests that compare against it
+LAYOUT = {
+    "top_tokens": np.int32,
+    "top_logits": np.float64,
+    "hidden": np.float64,
+    "label": np.int32,
+    "top1_prob": np.float64,
+    "traj_id": np.int32,
+    "k": np.int32,
+    "pos": np.int32,
+}
+
+
 def reference_dataset_arrays(records, den, cuts_per_traj, rng, cfg):
     """The row-stacking writer's arrays: build_dataset's cuts labeled by the
-    per-row loop, each field stacked with np.asarray over the list of rows."""
+    per-row loop, each row's traj_id replaced by its record's index in
+    records, and each field stacked with np.asarray over the list of rows in
+    its LAYOUT dtype."""
     rows = []
-    for record in records:
+    for i, record in enumerate(records):
         n = record.trajectory.n
         cuts = rng.choice(n, size=min(cuts_per_traj, n), replace=False) + 1
         for k in sorted(int(c) for c in cuts):
-            rows.extend(reference_label_state(record, k, den, cfg))
-    return {name: np.asarray([row[name] for row in rows]) for name in LabeledExample._fields}
+            rows.extend({**row, "traj_id": i} for row in reference_label_state(record, k, den, cfg))
+    return {name: np.asarray([row[name] for row in rows], LAYOUT[name]) for name in LabeledExample._fields}
 
 
 @st.composite
@@ -334,6 +369,12 @@ class TestColumnarDataset:
             save_archive(old, arrays, ds.config)
             with open(new, "rb") as a, open(old, "rb") as b:
                 assert a.read() == b.read()
+            # the id table is every record's id in input order, and survives
+            # the meta file's JSON, empty and non-ASCII ids included
+            loaded = load_dataset(new)
+        assert ds.config["traj_ids"] == loaded.config["traj_ids"] == [r.id for r in records]
+        ids = [records[i].id for i in arrays["traj_id"].tolist()]
+        assert [ex.traj_id for ex in ds.examples] == [ex.traj_id for ex in loaded.examples] == ids
 
     def test_load_returns_the_columns_without_building_rows(self, tmp_path, monkeypatch):
         built = self.build_and_save(tmp_path / "train.npz")
@@ -353,7 +394,10 @@ class TestColumnarDataset:
                 arrays = batch_arrays(view)
                 assert [a is ds.columns[name] for a, name in zip(arrays, LabeledExample._fields)] == [True] * 4
             # the same bytes as stacking the rows, as training on a list of rows did
-            stacked = (np.asarray([getattr(ex, name) for ex in ds.examples]) for name in LabeledExample._fields)
+            stacked = (
+                np.asarray([getattr(ex, name) for ex in ds.examples], labeling._COLUMNS[name][0])
+                for name in LabeledExample._fields
+            )
             for a, b in zip(arrays, stacked):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -371,6 +415,53 @@ class TestColumnarDataset:
                     a[0] = a[0]
             with pytest.raises(ValueError, match="read-only"):
                 next(iter(ds.examples)).hidden[0] = 1.0
+
+
+class TestCompactLayout:
+    """Integer columns are int32 and traj_id indexes the meta's id table: an
+    example takes 4*K1 + 8*K2 + 8*F + 24 bytes, and training reads the same
+    values as from int64 columns."""
+
+    @pytest.mark.parametrize("k1, k2, per_example", [(4, 8, 128), (2, 2, 72)])  # (4, 8): the benchmark's
+    def test_an_example_takes_exactly_its_layouts_bytes(self, k1, k2, per_example):
+        den, record = make_instance(3)  # V 8, F 3
+        cfg = LabelingConfig(k1, k2, 0.0)
+        ds = build_dataset([record], den, 4, np.random.default_rng(0), cfg)
+        assert per_example == 4 * k1 + 8 * k2 + 8 * ds.config["F"] + 24
+        n = len(ds.columns["label"])
+        assert n > 100 and sum(a.nbytes for a in ds.columns.values()) == n * per_example
+        layout = {name: np.dtype(dtype) for name, dtype in LAYOUT.items()}
+        cut = label_state(record, 1, den, cfg).columns
+        assert {name: a.dtype for name, a in ds.columns.items()} == layout
+        assert {name: a.dtype for name, a in cut.items()} == layout
+
+    def test_training_matches_training_on_int64_columns(self, tmp_path):
+        den, record = make_instance(3)
+        ds = build_dataset([record], den, 6, np.random.default_rng(2), LabelingConfig(4, 8, 0.0))
+        wide = DatasetFile(
+            {name: a.astype(np.int64) if a.dtype.kind == "i" else a.copy() for name, a in ds.columns.items()},
+            ds.config,
+        )
+        assert ds.columns["top_tokens"].dtype == np.int32 and wide.columns["top_tokens"].dtype == np.int64
+        cfg = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=3, emb_dim=8, hidden_dim=24, depth=2)
+        model = IndicatorModel.init(cfg, np.random.default_rng(0))
+        hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=3)
+        narrow_model, narrow_history = train(model, ds, hyper, np.random.default_rng(1))
+        wide_model, wide_history = train(model, wide, hyper, np.random.default_rng(1))
+        assert narrow_history == wide_history
+        save_checkpoint(narrow_model, tmp_path / "narrow.ckpt")
+        save_checkpoint(wide_model, tmp_path / "wide.ckpt")
+        assert (tmp_path / "narrow.ckpt").read_bytes() == (tmp_path / "wide.ckpt").read_bytes()
+
+        # the trained head is not zero, so the gradients and scores are informative
+        tok_ids, logits, hidden, labels = batch_arrays(ds)
+        loss32, grads32 = loss_and_grad(narrow_model, tok_ids, logits, hidden, labels)
+        loss64, grads64 = loss_and_grad(narrow_model, tok_ids.astype(np.int64), logits, hidden, labels.astype(np.int64))
+        assert loss32 == loss64
+        assert all(grads32[name].tobytes() == grads64[name].tobytes() for name in grads64)
+        scores32 = narrow_model.score_batch(tok_ids, logits, hidden)
+        scores64 = narrow_model.score_batch(tok_ids.astype(np.int64), logits, hidden)
+        assert scores32.tobytes() == scores64.tobytes() and len(np.unique(scores32)) > 1
 
 
 class TestLoadValidation:
@@ -421,6 +512,69 @@ class TestLoadValidation:
     def test_label_outside_zero_one(self, saved):
         self.tamper(saved, "label", self.set_entry(0, 7))
         with pytest.raises(ValueError, match=r"train\.npz.*labels"):
+            load_dataset(saved)
+
+    def test_meta_without_the_id_table(self, saved):
+        with open(f"{saved}.meta.json") as fh:
+            config = json.load(fh)
+        del config["traj_ids"]
+        with open(f"{saved}.meta.json", "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(ValueError, match=r"train\.npz\.meta\.json lacks traj_ids as a list of strings"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", ["inst-3", [3], ["inst-3", None], {"0": "inst-3"}, None])
+    def test_id_table_that_is_not_a_list_of_strings(self, saved, value):
+        self.tamper(saved, meta={"traj_ids": value})
+        with pytest.raises(ValueError, match=r"train\.npz\.meta\.json lacks traj_ids as a list of strings"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", [-1, 1])  # the table holds one id
+    def test_traj_id_outside_the_id_table(self, saved, value):
+        self.tamper(saved, "traj_id", self.set_entry(-1, value))
+        with pytest.raises(ValueError, match=r"train\.npz: traj_id indices must lie in \[0, 1\)"):
+            load_dataset(saved)
+
+    def test_cut_index_below_one(self, saved):
+        self.tamper(saved, "k", self.set_entry(0, 0))
+        with pytest.raises(ValueError, match=r"train\.npz: cut indices k must be at least 1"):
+            load_dataset(saved)
+
+    def test_negative_position(self, saved):
+        self.tamper(saved, "pos", self.set_entry(-1, -3))
+        with pytest.raises(ValueError, match=r"train\.npz: positions must not be negative"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", [7.0, -0.25, 1.0 + 1e-12])
+    def test_top1_prob_outside_the_unit_interval(self, saved, value):
+        self.tamper(saved, "top1_prob", self.set_entry(0, value))
+        with pytest.raises(ValueError, match=r"train\.npz: top-1 probabilities must lie in \[0, 1\]"):
+            load_dataset(saved)
+
+    def test_top1_prob_at_the_ends_of_the_unit_interval_loads(self, saved):
+        self.tamper(saved, "top1_prob", lambda a: np.where(np.arange(len(a)) % 2, 0.0, 1.0))
+        assert set(load_dataset(saved).columns["top1_prob"].tolist()) == {0.0, 1.0}
+
+    def test_a_dataset_in_the_old_layout_is_rejected(self, saved):
+        """The layout before int32 columns: int64 integers, the record id on
+        every row as a fixed-width string, and no id table in the meta."""
+        with np.load(saved) as npz:
+            arrays = dict(npz)
+        with open(f"{saved}.meta.json") as fh:
+            config = json.load(fh)
+        ids = config.pop("traj_ids")
+        old = {name: a.astype(np.int64) if a.dtype.kind == "i" else a for name, a in arrays.items()}
+        old["traj_id"] = np.asarray(ids)[arrays["traj_id"]]
+        assert old["traj_id"].dtype == np.dtype("<U6")
+        save_archive(saved, old, config)
+        with pytest.raises(ValueError, match=r"train\.npz\.meta\.json lacks traj_ids"):
+            load_dataset(saved)
+        # an id table alone does not make the old columns load
+        save_archive(saved, old, {**config, "traj_ids": ids})
+        with pytest.raises(ValueError, match=r"train\.npz: column top_tokens has dtype int64 .* expected int32"):
+            load_dataset(saved)
+        save_archive(saved, {**arrays, "traj_id": old["traj_id"]}, {**config, "traj_ids": ids})
+        with pytest.raises(ValueError, match=r"train\.npz: column traj_id has dtype <U6 .* expected int32"):
             load_dataset(saved)
 
     def test_meta_width_disagrees_with_the_columns(self, saved):
