@@ -345,6 +345,7 @@ _CHECKED_OPTIONS = {  # option dest -> (the config that checks its value, the fi
     "base_epsilon": (DecodeConfig, "threshold"),
     "temperature": (DecodeConfig, "temperature"),
     "eps_phi": (NIConfig, "eps_phi"),
+    "min_pos_prob": (LabelingConfig, "min_pos_prob"),
     "lr": (TrainHyper, "lr"),
     "batch": (TrainHyper, "batch_size"),
     "epochs": (TrainHyper, "epochs"),

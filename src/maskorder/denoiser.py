@@ -363,8 +363,10 @@ class ReplayDenoiser:
     so any decode or merge analysis that revisits recorded states replays
     exactly, with generation-relative positions again. V and F come from the
     archive's meta. Other arrays, dtypes or shapes, offsets that do not rise
-    strictly from 0 to the row count, positions out of order within a query
-    or a state recorded twice raise DenoiserError naming the path."""
+    strictly from 0 to the row count, positions out of order within a query,
+    a state recorded twice, rows that are not probability rows (NaN, ±inf or
+    negative entries, or a sum off 1 by more than position_scores' 1e-6) or
+    non-finite hidden features raise DenoiserError naming the path."""
 
     def __init__(self, path):
         try:
@@ -394,6 +396,12 @@ class ReplayDenoiser:
             raise DenoiserError(f"{path}: positions must be nonnegative and ascending within each query")
         if np.unique(state).size != Q:
             raise DenoiserError(f"{path}: a state is recorded twice")
+        if not (np.isfinite(rows).all() and rows.min(initial=0.0) >= 0):
+            raise DenoiserError(f"{path}: rows must hold finite, nonnegative probabilities")
+        if np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-6:
+            raise DenoiserError(f"{path}: every row must sum to 1 within 1e-6")
+        if not np.isfinite(hidden).all():
+            raise DenoiserError(f"{path}: column hidden holds NaN or infinite values")
         rows.flags.writeable = hidden.flags.writeable = False  # one set of rows serves each repeat of its state
         bounds = zip(state.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
         self._outputs = {h: (positions[a:b], rows[a:b], hidden[a:b]) for h, a, b in bounds}

@@ -188,8 +188,8 @@ class IndicatorModel:
 
 
 def batch_arrays(data):
-    """(tok_ids, logits, hidden, labels): the columns of a labeled dataset or of
-    a labeling.Rows view, as they are."""
+    """(tok_ids, logits, hidden, labels): the columns of a labeled dataset, as
+    they are."""
     return tuple(data.columns[name] for name in ("top_tokens", "top_logits", "hidden", "label"))
 
 
@@ -376,9 +376,10 @@ def save_checkpoint(model: IndicatorModel, path) -> None:
 
 def load_checkpoint(path, expected_vocab_size=None, expected_feature_dim=None) -> IndicatorModel:
     """Read a checkpoint; CheckpointError naming the path when load_archive
-    fails, the meta is not an IndicatorConfig of ints, or the parameters
+    fails, the meta is not an IndicatorConfig of ints, the parameters
     (names, shapes, float64), expected_vocab_size or expected_feature_dim
-    (the denoiser's) disagree with it."""
+    (the denoiser's) disagree with it, or a parameter holds NaN or ±inf,
+    which would score NaN on every row and so never open NI's gate."""
     try:
         params, meta = load_archive(path)
     except ValueError as exc:
@@ -397,6 +398,9 @@ def load_checkpoint(path, expected_vocab_size=None, expected_feature_dim=None) -
         wrong = [name for name, a in params.items() if a.dtype != np.float64]
         if wrong:
             raise ValueError(f"parameters {wrong} are not float64")
+        wrong = [name for name, a in params.items() if not np.isfinite(a).all()]
+        if wrong:
+            raise ValueError(f"parameters {wrong} hold NaN or infinite values")
         return IndicatorModel(cfg, params)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None

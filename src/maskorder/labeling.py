@@ -14,8 +14,8 @@ that the traj_id column indexes), in `<path>.meta.json`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .merge import count_mergeable
 
 DEFAULT_MIN_POS_PROB = 0.15
 
-__all__ = ["LabelingConfig", "LabeledExample", "Rows", "DatasetFile", "label_state", "build_dataset", "save_dataset", "load_dataset"]
+__all__ = ["LabelingConfig", "LabeledExample", "DatasetFile", "label_state", "build_dataset", "save_dataset", "load_dataset"]
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,18 @@ class LabelingConfig:
     k2: int = 8
     min_pos_prob: float = DEFAULT_MIN_POS_PROB
 
-
-class LabeledExample(NamedTuple):
-    top_tokens: np.ndarray  # K1 token ids, descending probability
-    top_logits: np.ndarray  # K2 log-probabilities, non-increasing
-    hidden: np.ndarray  # F denoiser features
-    label: int
-    top1_prob: float
-    traj_id: str
-    k: int
-    pos: int  # generation-relative
+    def __post_init__(self) -> None:
+        # NaN would keep every positive, as 0.0 does, and is not JSON
+        if np.isnan(self.min_pos_prob):
+            raise ValueError(f"min_pos_prob must not be NaN, got {self.min_pos_prob}")
 
 
 # LabeledExample field -> (exact dtype of its column, meta key of its column
-# width, or None for one value per example); in field order. An example
-# takes 4*K1 + 8*K2 + 8*F + 24 bytes. traj_id indexes the dataset's table of
-# record ids, config["traj_ids"].
+# width, or None for one value per example); in field order. top_tokens are
+# the K1 token ids in descending probability, top_logits the K2
+# log-probabilities, non-increasing, hidden the F denoiser features, traj_id
+# an index into the dataset's table of record ids, config["traj_ids"], and
+# pos generation-relative. An example takes 4*K1 + 8*K2 + 8*F + 24 bytes.
 _COLUMNS = {
     "top_tokens": (np.dtype(np.int32), "K1"),
     "top_logits": (np.dtype(np.float64), "K2"),
@@ -61,30 +57,16 @@ _COLUMNS = {
     "pos": (np.dtype(np.int32), None),
 }
 
-
-@dataclass(frozen=True, eq=False)
-class Rows:
-    """LabeledExample rows over one array per field, in _COLUMNS order, each
-    built as it is read. traj_ids is the table that the traj_id column
-    indexes: a row's traj_id is the record id traj_ids[i], a str."""
-
-    columns: dict
-    traj_ids: Sequence[str]
-
-    def __len__(self) -> int:
-        return len(self.columns["label"])
-
-    def __iter__(self):
-        values = {name: a if a.ndim > 1 else a.tolist() for name, a in self.columns.items()}
-        values["traj_id"] = map(self.traj_ids.__getitem__, values["traj_id"])
-        return map(LabeledExample, *values.values())
+LabeledExample = namedtuple("LabeledExample", _COLUMNS)
 
 
 @dataclass
 class DatasetFile:
-    """A labeled dataset: one read-only array per field, as in Rows, and the
-    shared config, whose traj_ids is the table of record ids that the traj_id
-    column indexes."""
+    """A labeled dataset, or one cut of it: one read-only array per field, in
+    _COLUMNS order, and the shared config, whose traj_ids is the table of
+    record ids that the traj_id column indexes. Iterating it yields its
+    LabeledExample rows, each built as it is read, with traj_id the record
+    id traj_ids[i], a str."""
 
     columns: dict
     config: dict = field(default_factory=dict)
@@ -93,9 +75,19 @@ class DatasetFile:
         for a in self.columns.values():
             a.flags.writeable = False
 
+    def __len__(self) -> int:
+        return len(self.columns["label"])
+
+    def __iter__(self):
+        values = {name: a if a.ndim > 1 else a.tolist() for name, a in self.columns.items()}
+        values["traj_id"] = map(self.config["traj_ids"].__getitem__, values["traj_id"])
+        return map(LabeledExample, *values.values())
+
+    # the dataset itself; it stays only because bench/workloads.py reads rows
+    # through it, and goes with the row API (ROADMAP item 6)
     @property
-    def examples(self) -> Rows:
-        return Rows(self.columns, self.config["traj_ids"])
+    def examples(self) -> DatasetFile:
+        return self
 
     @property
     def positive_fraction(self) -> float:
@@ -103,10 +95,24 @@ class DatasetFile:
         return int(self.columns["label"].sum()) / n if n else 0.0
 
 
-def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> Rows:
+def _meta(denoiser, cfg: LabelingConfig, traj_ids: list) -> dict:
+    """The config of a dataset labeled by denoiser under cfg over records
+    with these ids."""
+    return {
+        "K1": cfg.k1,
+        "K2": cfg.k2,
+        "F": denoiser.feature_dim,
+        "V": denoiser.vocab.size,
+        "min_pos_prob": cfg.min_pos_prob,
+        "denoiser": denoiser.config_id,
+        "traj_ids": traj_ids,
+    }
+
+
+def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> DatasetFile:
     """Labeled examples for every masked position at trajectory cut k, as a
-    Rows view of the cut's columns in the dtypes of _COLUMNS. Its id table is
-    (record.id,), so every traj_id index is 0.
+    one-record dataset of the cut's columns in the dtypes of _COLUMNS: its
+    config is build_dataset's over [record], so every traj_id index is 0.
 
     out, when given, is the denoiser's answer at that cut's state, which
     saves the query. ValueError naming the record and k when the answer's
@@ -133,7 +139,8 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out
     label = mergeable[out.positions] & ~(top1 < cfg.min_pos_prob)
     traj_id, cut = np.zeros_like(out.positions), np.full_like(out.positions, k)
     columns = (features.top_tokens, features.top_logits, features.hidden, label, top1, traj_id, cut, out.positions)
-    return Rows({name: np.asarray(a, _COLUMNS[name][0]) for name, a in zip(_COLUMNS, columns)}, (record.id,))
+    columns = {name: np.asarray(a, _COLUMNS[name][0]) for name, a in zip(_COLUMNS, columns)}
+    return DatasetFile(columns, _meta(denoiser, cfg, [record.id]))
 
 
 def build_dataset(
@@ -175,16 +182,7 @@ def build_dataset(
         for name, a in part.items():
             columns[name][at : at + size] = i if name == "traj_id" else a
         at += size
-    config = {
-        "K1": cfg.k1,
-        "K2": cfg.k2,
-        "F": denoiser.feature_dim,
-        "V": denoiser.vocab.size,
-        "min_pos_prob": cfg.min_pos_prob,
-        "denoiser": denoiser.config_id,
-        "traj_ids": traj_ids,
-    }
-    return DatasetFile(columns, config)
+    return DatasetFile(columns, _meta(denoiser, cfg, traj_ids))
 
 
 def save_dataset(ds: DatasetFile, path) -> None:

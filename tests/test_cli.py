@@ -445,6 +445,7 @@ class TestUsageErrors:
             ("gen-data", "--gen-len", "0", "must be positive"),
             *((command, flag, "0", "must be positive") for command in ("sample", "sweep") for flag in ("--count", "--gen-len")),
             ("sample", "--count", "-3", "must be positive"),
+            ("label", "--min-pos-prob", "nan", "min_pos_prob must not be NaN"),
         ],
     )
     def test_decode_values_are_checked(self, tmp_path, chain_file, capsys, command, flag, value, message):
@@ -453,6 +454,7 @@ class TestUsageErrors:
             "gen-data": ("--count", "1", "--out", str(out)),
             "sample": ("--sampler", "full", "--out", str(out)),
             "sweep": ("--ckpt", "c.ckpt", "--out", str(out), "--summary", str(tmp_path / "s.json")),
+            "label": ("--traj", "t.jsonl", "--out", str(out)),
         }[command]
         err = _usage_error(capsys, command, "--denoiser", chain_file, flag, value, *argv)
         assert f"invalid value {value} for {flag}: {message}" in err

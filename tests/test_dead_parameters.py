@@ -1,5 +1,7 @@
 """Every parameter of the program's functions is read: a parameter that no
-body reads is an option no caller can use, and one more thing to document."""
+body reads is an option no caller can use, and one more thing to document.
+Likewise every name a module imports is read, or exported through its
+__all__: an import that nothing reads is left over from code that went."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,40 @@ def test_every_parameter_is_read(path):
 def test_the_scan_finds_an_unread_parameter():
     tree = ast.parse("def f(a, b, *rest, c=None):\n    return a + (lambda: b)()\n")
     assert [unread_parameters(fn) for _, fn in functions(tree)] == [["c"]]
+
+
+def unused_imports(tree):
+    """Names the module imports and never reads, skipping `from __future__`
+    and the names listed in its __all__."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unused_imports(tree) == [], f"{path.name}: imports no body reads"
+
+
+def test_the_scan_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json as js\n"
+        "from typing import NamedTuple, Sequence\n"
+        "from .core import save_archive\n"
+        "__all__ = ['save_archive']\n"
+        "def f(x: Sequence):\n    return os.path.join(x)\n"
+    )
+    assert unused_imports(ast.parse(source)) == ["NamedTuple", "js"]

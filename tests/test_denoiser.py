@@ -717,11 +717,16 @@ class TestReplay:
             (_swap_first_positions, "positions must be nonnegative and ascending"),
             (lambda a, m: a["positions"].__setitem__(0, -1), "positions must be nonnegative and ascending"),
             (lambda a, m: a["state"].__setitem__(1, a["state"][0]), "a state is recorded twice"),
+            (lambda a, m: a["rows"].__setitem__(-1, np.nan), "rows must hold finite, nonnegative probabilities"),
+            (lambda a, m: a["rows"].__setitem__(0, [-0.5, 1.5, 0, 0]), "rows must hold finite, nonnegative"),
+            (lambda a, m: a["rows"].__setitem__(0, a["rows"][0] * (1 + 2e-6)), "every row must sum to 1 within 1e-6"),
+            (lambda a, m: a["hidden"].__setitem__((1, 2), np.inf), "column hidden holds NaN or infinite values"),
         ],
         ids=[
             "meta-without-V", "float-F", "missing-column", "extra-column", "int-state", "float-positions",
             "string-rows", "rows-wider-than-V", "hidden-narrower-than-F", "short-offsets",
             "offsets-not-from-zero", "empty-query", "unsorted-positions", "negative-position", "duplicate-state",
+            "nan-rows", "negative-probability", "row-sum-off-one", "infinite-hidden",
         ],
     )
     def test_inconsistent_archive_names_the_file(self, log, change, message):

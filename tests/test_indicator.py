@@ -587,6 +587,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameters \['b_tok'\] are not float64"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_parameter_that_is_not_finite(self, tmp_path, value):
+        # a NaN weight scores NaN on every row, which never opens NI's gate
+        path = self._saved(tmp_path)
+
+        def poison(params):
+            params["w_head"].flat[0] = value
+            return params
+
+        self.rewrite(path, poison)
+        with pytest.raises(CheckpointError, match=r"ind\.ckpt: parameters \['w_head'\] hold NaN or infinite values"):
+            load_checkpoint(path)
+
     def test_missing_meta_file(self, tmp_path):
         path = self._saved(tmp_path)
         (tmp_path / "ind.ckpt.meta.json").unlink()

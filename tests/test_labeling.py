@@ -126,6 +126,36 @@ class TestLabelState:
         assert {ex.pos for ex in examples} == set(range(record.gen_len)) - already
         assert all(ex.k == k and ex.traj_id == record.id for ex in examples)
 
+    def test_min_pos_prob_nan_is_rejected_and_every_other_value_keeps_its_meaning(self):
+        with pytest.raises(ValueError, match="min_pos_prob must not be NaN"):
+            LabelingConfig(min_pos_prob=float("nan"))
+        # at or below 0 it filters nothing, above 1 every positive
+        den, record = make_instance(4)
+        labels = [
+            label_state(record, 1, den, LabelingConfig(2, 2, value)).columns["label"].tolist()
+            for value in (0.0, -1.0, -np.inf, 1.1, np.inf)
+        ]
+        assert 0 < sum(labels[0]) and labels[0] == labels[1] == labels[2]
+        assert labels[3] == labels[4] == [0] * len(labels[0])
+
+    def test_a_cut_is_a_one_record_dataset(self):
+        den, record = make_instance(6)
+        cut = label_state(record, 3, den, CFG)
+        assert type(cut) is DatasetFile and cut.examples is cut
+        assert cut.config == build_dataset([record], den, 1, np.random.default_rng(0), CFG).config
+        assert cut.config["traj_ids"] == [record.id] and set(cut.columns["traj_id"].tolist()) == {0}
+
+    def test_a_cut_round_trips_through_save_and_load(self, tmp_path):
+        den, record = make_instance(6)
+        cut = label_state(record, 3, den, CFG)
+        save_dataset(cut, tmp_path / "cut.npz")
+        loaded = load_dataset(tmp_path / "cut.npz")
+        assert loaded.config == cut.config
+        assert list(loaded.columns) == list(cut.columns)
+        for name, a in cut.columns.items():
+            b = loaded.columns[name]
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+
 
 def reference_label_state(record, k, denoiser, cfg):
     """label_state as a per-row loop over indices, one field dict per example."""
@@ -201,7 +231,7 @@ class TestLabelStateIsPinned:
         ex = next(iter(label_state(record, 1, den, CFG)))
         copy = LabeledExample(*ex)
         fields = ("top_tokens", "top_logits", "hidden", "label", "top1_prob", "traj_id", "k", "pos")
-        assert LabeledExample._fields == fields
+        assert LabeledExample._fields == fields == tuple(labeling._COLUMNS)
         assert all(getattr(copy, name) is getattr(ex, name) for name in fields)
         assert copy.k == 1 and copy.traj_id == record.id
         assert not hasattr(ex, "__dict__")
