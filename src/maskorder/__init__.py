@@ -29,7 +29,7 @@ from .denoiser import (
 from .indicator import IndicatorConfig, IndicatorModel, TrainHyper, load_checkpoint, save_checkpoint, train
 from .labeling import LabeledExample, LabelingConfig, build_dataset, label_state
 from .merge import MergeReport, count_mergeable, final_results_preserving, merge_trajectory
-from .ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
+from .ni_sampler import NIConfig, ni_decode
 from .orders import DecodeConfig, decode, position_scores, run_steps, sample_tokens, select_positions
 
 __version__ = "0.1.0"

@@ -359,7 +359,7 @@ def _check(parser, args) -> None:
         parser.error(f"--dtemp must be positive and finite, got {args.dtemp}")
     if not 0 <= getattr(args, "dnoise", 0.0) < np.inf:
         parser.error(f"--dnoise must be nonnegative and finite, got {args.dnoise}")
-    for dest, least in (("prompt_len", 0), ("count", 1), ("gen_len", 1), ("cuts", 1)):
+    for dest, least in (("prompt_len", 0), ("seed", 0), ("dseed", 0), ("count", 1), ("gen_len", 1), ("cuts", 1)):
         if getattr(args, dest, least) < least:
             must = "nonnegative" if least == 0 else "positive"
             parser.error(f"invalid value {getattr(args, dest)} for --{dest.replace('_', '-')}: must be {must}")

@@ -339,11 +339,13 @@ def load_records(path) -> list:
 
 def save_archive(path, arrays: dict, meta: dict) -> None:
     """Write `arrays` as an uncompressed .npz at exactly `path` and `meta` as
-    JSON to `<path>.meta.json`."""
+    strict JSON to `<path>.meta.json`; ValueError, before either file is
+    written, when the meta holds NaN or ±inf."""
+    text = json.dumps(meta, allow_nan=False)
     with open(path, "wb") as fh:  # a file handle keeps numpy from appending ".npz"
         np.savez(fh, **arrays)
     with open(f"{path}.meta.json", "w") as fh:
-        json.dump(meta, fh)
+        fh.write(text)
 
 
 def load_archive(path) -> tuple:

@@ -128,6 +128,14 @@ class MarkovModel:
         missing = [key for key in ("V", "initial", "transition") if key not in d]
         if missing:
             raise DenoiserError(f"missing keys {missing}")
+        # every entry a JSON number, in document order: asarray would also take "0.5" and true
+        pending = [d["transition"], d["initial"]]
+        while pending:
+            x = pending.pop()
+            if isinstance(x, list):
+                pending.extend(reversed(x))
+            elif type(x) not in (int, float):
+                raise DenoiserError(f"probabilities must be numeric arrays: {x!r} is not a number")
         model = MarkovModel(d["initial"], d["transition"])
         if type(d["V"]) is not int or model.V != d["V"]:
             raise DenoiserError(f"declared V={d['V']!r} does not match distribution shapes (V={model.V})")
@@ -302,6 +310,8 @@ class TemperedDenoiser:
             raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
         if not 0 <= noise_scale < np.inf:
             raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+        if seed < 0:
+            raise DenoiserError(f"seed must be nonnegative, got {seed}")
         self.inner = inner
         self.temperature = temperature
         self.noise_scale = noise_scale

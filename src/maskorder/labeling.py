@@ -35,9 +35,10 @@ class LabelingConfig:
     min_pos_prob: float = DEFAULT_MIN_POS_PROB
 
     def __post_init__(self) -> None:
-        # NaN would keep every positive, as 0.0 does, and is not JSON
-        if np.isnan(self.min_pos_prob):
-            raise ValueError(f"min_pos_prob must not be NaN, got {self.min_pos_prob}")
+        # NaN and ±inf are not JSON; finite values already reach both extremes:
+        # at or below 0 nothing is filtered, above 1 every positive is
+        if not np.isfinite(self.min_pos_prob):
+            raise ValueError(f"min_pos_prob must be finite, got {self.min_pos_prob}")
 
 
 # LabeledExample field -> (exact dtype of its column, meta key of its column
@@ -109,21 +110,19 @@ def _meta(denoiser, cfg: LabelingConfig, traj_ids: list) -> dict:
     }
 
 
-def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig, out=None) -> DatasetFile:
+def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig) -> DatasetFile:
     """Labeled examples for every masked position at trajectory cut k, as a
     one-record dataset of the cut's columns in the dtypes of _COLUMNS: its
     config is build_dataset's over [record], so every traj_id index is 0.
 
-    out, when given, is the denoiser's answer at that cut's state, which
-    saves the query. ValueError naming the record and k when the answer's
-    positions are not exactly the cut's masked positions.
+    ValueError naming the record and k when the denoiser's answer at the
+    cut's state does not hold exactly the cut's masked positions.
     """
     traj = record.trajectory
     if not 1 <= k <= traj.n:
         raise ValueError(f"cut index {k} out of range 1..{traj.n}")
     state = apply_steps(record.base(), traj, k)
-    if out is None:
-        out = denoiser.query(state)
+    out = denoiser.query(state)
     # the state's masked positions, which count_mergeable checks are those
     # with k <= step_of
     masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)

@@ -9,16 +9,14 @@ score reaches the gate threshold. Both reveal groups form one trajectory step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import MaskedSequence, Trajectory
 from .denoiser import LOG_FLOOR, extract_features
-from .labeling import LabelingConfig, label_state
 from .orders import DecodeConfig, run_steps, sample_tokens, select_positions
 
-__all__ = ["NIConfig", "ConstantIndicator", "ni_decode", "oracle_indicator_decode"]
+__all__ = ["NIConfig", "ni_decode"]
 
 
 @dataclass(frozen=True)
@@ -38,19 +36,6 @@ class NIConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_phi <= 1.0:
             raise ValueError(f"eps_phi must be in [0, 1], got {self.eps_phi}")
-
-
-class ConstantIndicator:
-    """Stub indicator returning a fixed score; useful for gate identities.
-    It reads no feature, so it asks for the narrowest bundle, K1 = K2 = 1."""
-
-    config = SimpleNamespace(k1=1, k2=1)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def score_bundles(self, features) -> np.ndarray:
-        return np.full(len(features), self.value)
 
 
 def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Trajectory:
@@ -81,30 +66,4 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
             "eps_phi": cfg.eps_phi,
             "denoiser": denoiser.config_id,
         },
-    )
-
-
-def oracle_indicator_decode(denoiser, record) -> Trajectory:
-    """Decode gated by the exact mergeability oracle against a known reference.
-
-    At each visited state (which must stay aligned with the reference
-    trajectory) the positions revealed are exactly those that trajectory-
-    preserving labeling marks positive with no probability floor.
-    """
-    traj = record.trajectory
-    label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
-    k = 1
-
-    def choose(out, state):
-        nonlocal k
-        rows = label_state(record, k, denoiser, label_cfg, out=out).columns["label"] == 1
-        prefix = np.where(traj.step_of < k, traj.finals, state.vocab.mask_id)
-        if not np.array_equal(state.token_array[state.prompt_len :], prefix):
-            raise AssertionError("oracle decode diverged from the reference trajectory")
-        k = int(traj.step_of[out.positions[~rows]].min(initial=traj.n + 1))  # the first step left masked
-        return rows, traj.finals[out.positions]
-
-    return Trajectory(
-        run_steps(denoiser, record.base(), choose, traj.n),
-        meta={**traj.meta, "sampler": "oracle-indicator"},
     )

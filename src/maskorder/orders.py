@@ -41,6 +41,8 @@ class DecodeConfig:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.temperature is not None and not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def sampler_name(self) -> str:

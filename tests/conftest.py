@@ -1,20 +1,23 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The brute-force posterior, the dict and loop derivations of a trajectory's
-position table and merge count, the naive merge re-simulation and the exact
-minimum-step search below are kept deliberately separate from the library
-implementations so they can serve as independent cross-checks.
+position table and merge count, the naive merge re-simulation, the exact
+minimum-step search, the decode gated by the labeling oracle and the
+constant-score indicator stub below are kept deliberately separate from the
+library implementations so they can serve as independent cross-checks.
 """
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, validate_partition
+from maskorder.core import MaskedSequence, SampleRecord, Trajectory, Vocabulary, validate_partition
 from maskorder.denoiser import MarkovDenoiser, MarkovModel, TemperedDenoiser
-from maskorder.orders import DecodeConfig, decode
+from maskorder.labeling import LabelingConfig, label_state
+from maskorder.orders import DecodeConfig, decode, run_steps
 
 
 def traced_peak(fn, *args) -> int:
@@ -157,6 +160,45 @@ def min_steps(record: SampleRecord, denoiser) -> int:
         frontier = reached - seen
         seen |= reached
     return steps
+
+
+class ConstantIndicator:
+    """Stub indicator returning a fixed score; useful for gate identities.
+    It reads no feature, so it asks for the narrowest bundle, K1 = K2 = 1."""
+
+    config = SimpleNamespace(k1=1, k2=1)
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def score_bundles(self, features) -> np.ndarray:
+        return np.full(len(features), self.value)
+
+
+def oracle_indicator_decode(denoiser, record) -> Trajectory:
+    """Decode gated by the exact mergeability oracle against a known reference.
+
+    At each visited state (which must stay aligned with the reference
+    trajectory) the positions revealed are exactly those that trajectory-
+    preserving labeling marks positive with no probability floor.
+    """
+    traj = record.trajectory
+    label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
+    k = 1
+
+    def choose(out, state):
+        nonlocal k
+        rows = label_state(record, k, denoiser, label_cfg).columns["label"] == 1
+        prefix = np.where(traj.step_of < k, traj.finals, state.vocab.mask_id)
+        if not np.array_equal(state.token_array[state.prompt_len :], prefix):
+            raise AssertionError("oracle decode diverged from the reference trajectory")
+        k = int(traj.step_of[out.positions[~rows]].min(initial=traj.n + 1))  # the first step left masked
+        return rows, traj.finals[out.positions]
+
+    return Trajectory(
+        run_steps(denoiser, record.base(), choose, traj.n),
+        meta={**traj.meta, "sampler": "oracle-indicator"},
+    )
 
 
 def make_instance(seed: int):

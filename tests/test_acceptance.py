@@ -10,15 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_posterior, make_instance, random_chain, resimulate_merge, row_at, sticky_chain
+from conftest import (
+    ConstantIndicator,
+    brute_force_posterior,
+    make_instance,
+    oracle_indicator_decode,
+    random_chain,
+    resimulate_merge,
+    row_at,
+    sticky_chain,
+)
 from maskorder import harness
 from maskorder.core import MaskedSequence, Vocabulary, apply_steps, final_tokens, validate_partition
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser, markov_posterior
 from maskorder.indicator import IndicatorConfig, IndicatorModel, TrainHyper, loss_and_grad, train
 from maskorder.labeling import LabelingConfig, label_state, build_dataset
 from maskorder.merge import final_results_preserving, merge_trajectory
-from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode
-from maskorder.ni_sampler import oracle_indicator_decode
+from maskorder.ni_sampler import NIConfig, ni_decode
 from maskorder.orders import DecodeConfig, decode
 
 

@@ -417,6 +417,7 @@ class TestUsageErrors:
             ("--emb-dim", "0", "emb_dim must be positive"),
             ("--depth", "0", "depth must be positive"),
             ("--hidden-dim", "2", "hidden_dim must be >= 3"),
+            ("--seed", "-1", "must be nonnegative"),
         ],
     )
     def test_training_hyperparameters_are_checked(self, tmp_path, capsys, flag, value, message):
@@ -445,7 +446,12 @@ class TestUsageErrors:
             ("gen-data", "--gen-len", "0", "must be positive"),
             *((command, flag, "0", "must be positive") for command in ("sample", "sweep") for flag in ("--count", "--gen-len")),
             ("sample", "--count", "-3", "must be positive"),
-            ("label", "--min-pos-prob", "nan", "min_pos_prob must not be NaN"),
+            ("label", "--min-pos-prob", "nan", "min_pos_prob must be finite"),
+            ("label", "--min-pos-prob", "inf", "min_pos_prob must be finite"),
+            ("gen-data", "--seed", "-1", "must be nonnegative"),
+            ("gen-data", "--dseed", "-3", "must be nonnegative"),
+            ("sample", "--seed", "-1", "must be nonnegative"),
+            ("label", "--seed", "-1", "must be nonnegative"),
         ],
     )
     def test_decode_values_are_checked(self, tmp_path, chain_file, capsys, command, flag, value, message):
@@ -459,7 +465,8 @@ class TestUsageErrors:
         err = _usage_error(capsys, command, "--denoiser", chain_file, flag, value, *argv)
         assert f"invalid value {value} for {flag}: {message}" in err
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({flag[2:]: int(value) if flag in ("--prompt-len", "--count", "--gen-len") else float(value)}))
+        integer = flag in ("--prompt-len", "--count", "--gen-len", "--seed", "--dseed")
+        cfg.write_text(json.dumps({flag[2:]: int(value) if integer else float(value)}))
         err = _usage_error(capsys, "--config", str(cfg), command, "--denoiser", chain_file, *argv)
         assert f"for {flag}: {message}" in err
         assert not out.exists()

@@ -345,6 +345,12 @@ class TestArchive:
         save_archive(saved, self.ARRAYS, {"K": 3, "name": "t"})
         assert saved.read_bytes() == first
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_meta_that_is_not_strict_json_writes_nothing(self, tmp_path, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_archive(tmp_path / "thing.bin", self.ARRAYS, {"K": 3, "x": [value]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match=r"nothing\.npz: not an intact \.npz archive"):
             load_archive(tmp_path / "nothing.npz")

@@ -1,9 +1,14 @@
 """Every parameter of the program's functions is read: a parameter that no
 body reads is an option no caller can use, and one more thing to document.
 Likewise every name a module imports is read, or exported through its
-__all__: an import that nothing reads is left over from code that went."""
+__all__: an import that nothing reads is left over from code that went. And
+every name an __all__ lists is bound, and every name the package imports is
+in its module's __all__: an export that outlives its code breaks
+`from module import *`."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,32 @@ def test_the_scan_finds_an_unused_import():
         "def f(x: Sequence):\n    return os.path.join(x)\n"
     )
     assert unused_imports(ast.parse(source)) == ["NamedTuple", "js"]
+
+
+def unbound_exports(module):
+    """Names the module's __all__ lists and the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    module = importlib.import_module("maskorder" if path.stem == "__init__" else f"maskorder.{path.stem}")
+    assert unbound_exports(module) == [], f"{path.name}: __all__ lists names it does not bind"
+
+
+def test_the_scan_finds_an_unbound_export():
+    module = types.ModuleType("m")
+    exec("__all__ = ['f', 'gone']\ndef f():\n    pass\n", module.__dict__)
+    assert unbound_exports(module) == ["gone"]
+
+
+def test_the_package_imports_only_exported_names():
+    init = SRC[0].parent / "__init__.py"
+    unexported = [
+        f"{node.module}.{alias.name}"
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"maskorder.{node.module}").__all__
+    ]
+    assert unexported == [], "__init__.py imports names outside their module's __all__"

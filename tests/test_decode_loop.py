@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, row_at
+from conftest import ConstantIndicator, oracle_indicator_decode, random_chain, row_at
 from maskorder.core import MaskedSequence, SampleRecord, apply_steps, final_tokens, validate_partition
 from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import final_results_preserving, merge_trajectory
-from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
+from maskorder.ni_sampler import NIConfig, ni_decode
 from maskorder.orders import RULES, DecodeConfig, decode, run_steps
 
 SETTINGS = settings(max_examples=40, deadline=None)

@@ -147,10 +147,14 @@ class TestMarkovModel:
             ('{"V": 0, "initial": [], "transition": []}', "vector"),
             ('{"V": 2, "initial": 1.0, "transition": [[1, 0], [0, 1]]}', "vector"),
             ('{"V": 2, "initial": [0.5, 0.5], "transition": [1, 0]}', "transition must be 2x2"),
+            ('{"V": 2, "initial": ["0.5", " 5e-1 "], "transition": [[1, 0], [0, 1]]}', "numeric arrays"),
+            ('{"V": 2, "initial": [true, false], "transition": [[1, 0], [0, 1]]}', "numeric arrays"),
+            ('{"V": 2, "initial": [0.5, 0.5], "transition": [[1, 0], [0, true]]}', "numeric arrays"),
         ],
         ids=[
             "bad-json", "empty", "list", "number", "no-V", "no-transition", "wrong-V", "string-V",
             "strings", "ragged", "object", "matrix-initial", "empty-initial", "scalar-initial", "vector-transition",
+            "numeric-strings", "bool-initial", "bool-transition",
         ],
     )
     def test_malformed_config_file_names_the_file(self, tmp_path, text, message):
@@ -353,6 +357,10 @@ class TestTemper:
             temper(self.out, 1.0, noise_scale, np.random.default_rng(0))
         with pytest.raises(DenoiserError, match="noise_scale must be nonnegative and finite"):
             TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.0, noise_scale)
+
+    def test_rejects_a_negative_seed_at_construction(self):
+        with pytest.raises(DenoiserError, match="seed must be nonnegative, got -3"):
+            TemperedDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), 1.0, 0.2, seed=-3)
 
     @settings(max_examples=40, deadline=None)
     @given(distributions(), st.floats(0.05, 1e6), st.floats(0.0, 2.0))

@@ -111,11 +111,15 @@ class TestLabelState:
         with pytest.raises(ValueError, match=message):
             label_state(record, k, DropsLastRow(), CFG)
         with pytest.raises(ValueError, match=r"record 'inst-6', cut 1: "):
-            label_state(record, 1, None, CFG, out=DropsLastRow().query(record.base()))
-        out = den.query(record.base())
-        shifted = DenoiserOutput(out.positions + 1, out.dists, out.features)  # the last one past the region
+            label_state(record, 1, DropsLastRow(), CFG)
+
+        class ShiftsPositions:
+            def query(self, state):
+                out = den.query(state)
+                return DenoiserOutput(out.positions + 1, out.dists, out.features)  # the last one past the region
+
         with pytest.raises(ValueError, match=r"cut 1: .* 64 positions, not exactly the cut's 64 masked"):
-            label_state(record, 1, None, CFG, out=shifted)
+            label_state(record, 1, ShiftsPositions(), CFG)
 
     def test_examples_cover_exactly_the_masked_positions(self):
         den, record = make_instance(6)
@@ -126,14 +130,15 @@ class TestLabelState:
         assert {ex.pos for ex in examples} == set(range(record.gen_len)) - already
         assert all(ex.k == k and ex.traj_id == record.id for ex in examples)
 
-    def test_min_pos_prob_nan_is_rejected_and_every_other_value_keeps_its_meaning(self):
-        with pytest.raises(ValueError, match="min_pos_prob must not be NaN"):
-            LabelingConfig(min_pos_prob=float("nan"))
+    def test_min_pos_prob_must_be_finite_and_keeps_its_meaning(self):
+        for value in (float("nan"), np.inf, -np.inf):
+            with pytest.raises(ValueError, match="min_pos_prob must be finite"):
+                LabelingConfig(min_pos_prob=value)
         # at or below 0 it filters nothing, above 1 every positive
         den, record = make_instance(4)
         labels = [
             label_state(record, 1, den, LabelingConfig(2, 2, value)).columns["label"].tolist()
-            for value in (0.0, -1.0, -np.inf, 1.1, np.inf)
+            for value in (0.0, -1.0, -1e300, 1.1, 1e300)
         ]
         assert 0 < sum(labels[0]) and labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4] == [0] * len(labels[0])

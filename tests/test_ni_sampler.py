@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, sticky_chain
+from conftest import ConstantIndicator, make_instance, oracle_indicator_decode, sticky_chain
 from maskorder.core import final_tokens, validate_partition
 from maskorder.denoiser import LOG_FLOOR, MarkovDenoiser, extract_features
 from maskorder.indicator import IndicatorConfig, IndicatorModel
 from maskorder.merge import merge_trajectory
-from maskorder.ni_sampler import ConstantIndicator, NIConfig, ni_decode, oracle_indicator_decode
+from maskorder.ni_sampler import NIConfig, ni_decode
 from maskorder.orders import DecodeConfig, decode, sample_tokens, select_positions
 
 

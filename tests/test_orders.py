@@ -177,6 +177,12 @@ class TestSampleTokens:
 
 
 class TestDecode:
+    def test_a_negative_seed_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            DecodeConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            DecodeConfig(threshold=0.9, temperature=1.0, seed=-3)
+
     def test_full_step_takes_gen_len_singleton_steps(self):
         den = MarkovDenoiser(sticky_chain(4, 0.8))
         traj = decode(den, (1, 2), 10, DecodeConfig(seed=0))
