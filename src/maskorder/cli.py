@@ -3,7 +3,9 @@
 Subcommands: gen-data, label, train, sample, analyze-merge, sweep, replay,
 self-bleu. A JSON object passed via --config supplies checked defaults for
 any long option of the chosen subcommand (command-line flags win). Decoding
-is random (categorical sampling) exactly when --temperature is given.
+is random (categorical sampling) exactly when --temperature is given. A
+malformed or missing input file ends the command with exit 1 and one error
+line naming the file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from . import harness
 from .core import SampleRecord, final_tokens, load_records, save_records
 from .denoiser import DenoiserError, MarkovDenoiser, MarkovModel, ReplayDenoiser, TemperedDenoiser
 from .indicator import (
+    CheckpointError,
     IndicatorConfig,
     IndicatorModel,
     TrainHyper,
@@ -52,11 +55,11 @@ def _build_denoiser(args):
     return model, den
 
 
-def _decode_cfg(args):
-    threshold = args.epsilon if args.sampler == "threshold" else None
-    return DecodeConfig(
-        rule=args.rule, threshold=threshold, temperature=args.temperature, seed=args.seed
-    )
+def _decode_cfg(args, seed):
+    """The decode of every command: full-step for --sampler full, else
+    threshold mode at --epsilon (NI's base sampler included)."""
+    threshold = None if args.sampler == "full" else args.epsilon
+    return DecodeConfig(rule=args.rule, threshold=threshold, temperature=getattr(args, "temperature", None), seed=seed)
 
 
 def cmd_label(args):
@@ -109,18 +112,18 @@ def cmd_sample(args):
                 SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, merged)
             )
     else:
+        cfg = _decode_cfg(args, args.seed)
         indicator = ni_cfg = None
         if args.sampler == "ni":
             indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
-            base = DecodeConfig(threshold=args.base_epsilon, temperature=args.temperature, seed=args.seed)
-            ni_cfg = NIConfig(base=base, eps_phi=args.eps_phi)
+            ni_cfg = NIConfig(base=cfg, eps_phi=args.eps_phi)
         records = harness.gen_data(
             den,
             model,
             prompt_len=args.prompt_len,
             gen_len=args.gen_len,
             count=args.count,
-            cfg=_decode_cfg(args),
+            cfg=cfg,
             seed=args.seed,
             indicator=indicator,
             ni_cfg=ni_cfg,
@@ -185,12 +188,7 @@ def cmd_replay(args):
     mismatches = 0
     records = []
     for ref in references:
-        cfg = DecodeConfig(
-            rule=args.rule,
-            threshold=args.epsilon if args.sampler == "threshold" else None,
-            seed=ref.trajectory.meta["seed"],
-        )
-        traj = decode(den, ref.prompt, ref.gen_len, cfg)
+        traj = decode(den, ref.prompt, ref.gen_len, _decode_cfg(args, ref.trajectory.meta["seed"]))
         records.append(SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, traj))
         if traj.steps != ref.trajectory.steps:
             mismatches += 1
@@ -221,7 +219,7 @@ def build_parser():
     _add_denoiser_args(p)
     common(p)
     p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
-    p.add_argument("--rule", choices=RULES, default="prob")
+    p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.8)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, required=True)
@@ -235,21 +233,21 @@ def build_parser():
     common(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--cuts", type=int, default=4)
-    p.add_argument("--min-pos-prob", type=float, default=0.15)
-    p.add_argument("--k1", type=int, default=4)
-    p.add_argument("--k2", type=int, default=8)
+    p.add_argument("--min-pos-prob", type=float, default=LabelingConfig.min_pos_prob)
+    p.add_argument("--k1", type=int, default=LabelingConfig.k1)
+    p.add_argument("--k2", type=int, default=LabelingConfig.k2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label, usage_error=p.error)
 
     p = sub.add_parser("train", help="train the indicator on a labeled dataset")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--emb-dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--epochs", type=int, default=TrainHyper.epochs)
+    p.add_argument("--lr", type=float, default=TrainHyper.lr)
+    p.add_argument("--batch", type=int, default=TrainHyper.batch_size)
+    p.add_argument("--emb-dim", type=int, default=IndicatorConfig.emb_dim)
+    p.add_argument("--hidden-dim", type=int, default=IndicatorConfig.hidden_dim)
+    p.add_argument("--depth", type=int, default=IndicatorConfig.depth)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -257,15 +255,14 @@ def build_parser():
     _add_denoiser_args(p)
     common(p)
     p.add_argument("--sampler", choices=["full", "threshold", "ni", "merge-oracle"], required=True)
-    p.add_argument("--rule", choices=RULES, default="prob")
+    p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.9)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--prompt-len", type=int, default=8)
     p.add_argument("--gen-len", type=int, default=32)
     p.add_argument("--ckpt", help="indicator checkpoint (sampler=ni)")
-    p.add_argument("--eps-phi", type=float, default=0.9)
-    p.add_argument("--base-epsilon", type=float, default=0.9)
+    p.add_argument("--eps-phi", type=float, default=NIConfig.eps_phi)
     p.add_argument("--traj", help="reference trajectories (sampler=merge-oracle)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -293,7 +290,7 @@ def build_parser():
     p.add_argument("--log", required=True, help="archive written by denoiser.RecordingDenoiser")
     p.add_argument("--traj", required=True)
     p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
-    p.add_argument("--rule", choices=RULES, default="prob")
+    p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_replay)
@@ -342,7 +339,6 @@ def _apply_config(parser, command: str, path) -> None:
 
 _CHECKED_OPTIONS = {  # option dest -> (the config that checks its value, the field it fills)
     "epsilon": (DecodeConfig, "threshold"),
-    "base_epsilon": (DecodeConfig, "threshold"),
     "temperature": (DecodeConfig, "temperature"),
     "eps_phi": (NIConfig, "eps_phi"),
     "min_pos_prob": (LabelingConfig, "min_pos_prob"),
@@ -385,7 +381,10 @@ def main(argv=None):
         _apply_config(parser, args.command, args.config)
         args = parser.parse_args(argv)
     _check(parser, args)
-    args.func(args)
+    try:
+        args.func(args)
+    except (DenoiserError, CheckpointError, ValueError, OSError) as exc:  # each message names its file
+        parser.exit(1, f"maskorder {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import sticky_chain
+from maskorder import harness
 from maskorder.cli import _check, build_parser, main
 from maskorder.core import SampleRecord, Trajectory, Vocabulary, final_tokens, load_records, save_records
-from maskorder.denoiser import DenoiserError, MarkovDenoiser, RecordingDenoiser
-from maskorder.indicator import CheckpointError, IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
+from maskorder.denoiser import MarkovDenoiser, RecordingDenoiser, TemperedDenoiser
+from maskorder.indicator import IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
 from maskorder.labeling import load_dataset
-from maskorder.orders import DecodeConfig, decode
+from maskorder.ni_sampler import NIConfig
+from maskorder.orders import RULES, DecodeConfig, decode
 
 
 @pytest.fixture
@@ -130,20 +132,20 @@ class TestReplayCommand:
             run("replay", "--log", str(log), "--traj", str(path))
         assert exc.value.code == 1
 
-    def test_record_with_another_vocabulary_is_rejected_by_id(self, tmp_path):
+    def test_record_with_another_vocabulary_is_rejected_by_id(self, tmp_path, capsys):
         log, path, records = self._log_and_records(tmp_path)
         ref = records[1]
         records[1] = SampleRecord(ref.id, Vocabulary(5), ref.prompt, ref.gen_len, ref.trajectory)
         save_records(records, path)
         out = tmp_path / "out.jsonl"
-        with pytest.raises(DenoiserError, match=r"record 'r1' has vocab_size 5, the log .*dist\.npz has V=4"):
-            run("replay", "--log", str(log), "--traj", str(path), "--out", str(out))
+        err = _input_error(capsys, "replay", "--log", str(log), "--traj", str(path), "--out", str(out))
+        assert re.search(r"record 'r1' has vocab_size 5, the log .*dist\.npz has V=4", err)
         assert not out.exists()
 
-    def test_malformed_log_names_the_file(self, tmp_path):
+    def test_malformed_log_names_the_file(self, tmp_path, capsys):
         _, path, _ = self._log_and_records(tmp_path)
-        with pytest.raises(DenoiserError, match=r"traj\.jsonl: not an intact \.npz archive"):
-            run("replay", "--log", str(path), "--traj", str(path))
+        err = _input_error(capsys, "replay", "--log", str(path), "--traj", str(path))
+        assert re.search(r"traj\.jsonl: not an intact \.npz archive", err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -336,6 +338,18 @@ def _usage_error(capsys, *argv):
     return capsys.readouterr().err
 
 
+def _input_error(capsys, command, *argv):
+    """stderr of a run that a malformed input file ends: exit 1 and one
+    `maskorder <command>: error:` line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run(command, *argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"maskorder {command}: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("value", ["0", "-1.5", "inf", "nan"])
     def test_nonpositive_dtemp_is_rejected(self, tmp_path, chain_file, capsys, value):
@@ -439,7 +453,7 @@ class TestUsageErrors:
             ("gen-data", "--epsilon", "1.5", "threshold must be in (0, 1]"),
             ("gen-data", "--prompt-len", "-2", "must be nonnegative"),
             ("sample", "--temperature", "nan", "temperature must be positive and finite"),
-            ("sample", "--base-epsilon", "0.0", "threshold must be in (0, 1]"),
+            ("sample", "--epsilon", "0.0", "threshold must be in (0, 1]"),
             ("sample", "--eps-phi", "1.5", "eps_phi must be in [0, 1]"),
             ("sample", "--prompt-len", "-1", "must be nonnegative"),
             ("sweep", "--prompt-len", "-2", "must be nonnegative"),
@@ -479,7 +493,7 @@ class TestUsageErrors:
         assert all(len(final_tokens(r.trajectory)) == 5 for r in records)
 
     @pytest.mark.parametrize("command", ["sample", "sweep"])
-    def test_checkpoint_with_another_feature_dim_names_the_file(self, tmp_path, chain_file, command):
+    def test_checkpoint_with_another_feature_dim_names_the_file(self, tmp_path, chain_file, capsys, command):
         ckpt = tmp_path / "ind.ckpt"
         feature_dim = MarkovDenoiser(sticky_chain(8, 0.9)).feature_dim + 1
         cfg = IndicatorConfig(vocab_size=8, k1=2, k2=3, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
@@ -488,8 +502,8 @@ class TestUsageErrors:
             "sample": ("--sampler", "ni", "--out", str(tmp_path / "a.jsonl")),
             "sweep": ("--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")),
         }[command]
-        with pytest.raises(CheckpointError, match=rf"ind\.ckpt: feature dimension {feature_dim} does not match"):
-            run(command, "--denoiser", chain_file, "--ckpt", str(ckpt), "--count", "1", *argv)
+        err = _input_error(capsys, command, "--denoiser", chain_file, "--ckpt", str(ckpt), "--count", "1", *argv)
+        assert re.search(rf"ind\.ckpt: feature dimension {feature_dim} does not match", err)
 
     def test_sample_has_no_mode_flag(self, tmp_path, chain_file, capsys):
         err = _usage_error(
@@ -499,16 +513,68 @@ class TestUsageErrors:
         assert "unrecognized arguments" in err
 
 
+class TestInputErrors:
+    """A malformed or missing input file ends the run with exit 1 and one
+    error line naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["denoiser-bool-initial", "traj-int-id", "traj-missing", "data-not-an-archive"])
+    def test_malformed_input_exits_1_with_one_line(self, tmp_path, chain_file, capsys, case):
+        chain, traj, missing, data, out = (tmp_path / name for name in ("b.json", "t.jsonl", "none.jsonl", "d.npz", "out"))
+        chain.write_text(json.dumps({"V": 2, "initial": [True, False], "transition": [[0.5, 0.5], [0.5, 0.5]]}))
+        traj.write_text('{"id": 1}\n')
+        data.write_text("not an archive\n")
+        named, argv = {
+            "denoiser-bool-initial": (chain, ("gen-data", "--denoiser", str(chain), "--count", "1")),
+            "traj-int-id": (traj, ("label", "--denoiser", chain_file, "--traj", str(traj))),
+            "traj-missing": (missing, ("label", "--denoiser", chain_file, "--traj", str(missing))),
+            "data-not-an-archive": (data, ("train", "--data", str(data))),
+        }[case]
+        assert named.name in _input_error(capsys, *argv, "--out", str(out))
+        assert not out.exists()
+
+
+@pytest.fixture
+def ckpt_file(tmp_path):
+    """An untrained indicator for the 8-token sticky chain of chain_file."""
+    path = tmp_path / "ind.ckpt"
+    feature_dim = MarkovDenoiser(sticky_chain(8, 0.9)).feature_dim
+    cfg = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
+    save_checkpoint(IndicatorModel.init(cfg, np.random.default_rng(0)), path)
+    return str(path)
+
+
+class TestNISampler:
+    """`sample --sampler ni` decodes with sample's own decode flags as its base."""
+
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.9"])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_rule_and_epsilon_set_the_base_sampler(self, tmp_path, chain_file, ckpt_file, rule, epsilon):
+        out, expected = tmp_path / "ni.jsonl", tmp_path / "expected.jsonl"
+        run(
+            "sample", "--denoiser", chain_file, "--dnoise", "0.5", "--sampler", "ni", "--ckpt", ckpt_file,
+            "--rule", rule, "--epsilon", epsilon, "--eps-phi", "0.6", "--count", "4", "--prompt-len", "2",
+            "--gen-len", "16", "--seed", "3", "--out", str(out),
+        )
+        model = sticky_chain(8, 0.9)
+        den = TemperedDenoiser(MarkovDenoiser(model), noise_scale=0.5)
+        base = DecodeConfig(rule=rule, threshold=float(epsilon), seed=3)
+        ni_cfg = NIConfig(base=base, eps_phi=0.6)
+        records = harness.gen_data(den, model, 2, 16, 4, base, 3, load_checkpoint(ckpt_file), ni_cfg)
+        save_records(records, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_base_epsilon_is_gone(self, tmp_path, chain_file, ckpt_file, capsys):
+        err = _usage_error(
+            capsys, "sample", "--denoiser", chain_file, "--sampler", "ni", "--ckpt", ckpt_file,
+            "--base-epsilon", "0.5", "--out", str(tmp_path / "a.jsonl"),
+        )
+        assert "unrecognized arguments: --base-epsilon" in err
+
+
 class TestRandomMode:
     @pytest.mark.parametrize("sampler", ["full", "ni"])
-    def test_temperature_alone_selects_random_sampling(self, tmp_path, chain_file, sampler):
-        extra = ()
-        if sampler == "ni":
-            ckpt = tmp_path / "ind.ckpt"
-            feature_dim = MarkovDenoiser(sticky_chain(8, 0.9)).feature_dim
-            cfg = IndicatorConfig(vocab_size=8, k1=4, k2=8, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
-            save_checkpoint(IndicatorModel.init(cfg, np.random.default_rng(0)), ckpt)
-            extra = ("--ckpt", str(ckpt), "--eps-phi", "0")
+    def test_temperature_alone_selects_random_sampling(self, tmp_path, chain_file, ckpt_file, sampler):
+        extra = ("--ckpt", ckpt_file, "--eps-phi", "0") if sampler == "ni" else ()
         finals = []
         for temperature in ((), ("--temperature", "2.0")):
             out = tmp_path / f"{len(temperature)}.jsonl"
@@ -540,3 +606,20 @@ def test_the_readme_has_a_walkthrough():
 def test_readme_commands_parse(argv):
     parser = build_parser()
     _check(parser, parser.parse_args(argv))
+
+
+def test_every_readme_option_exists():
+    """Every --option the README names is a flag of some subcommand, of a
+    bench script, or of pip."""
+    root = Path(__file__).resolve().parent.parent
+    bench_flags = {
+        flag
+        for path in (root / "bench").glob("*.py")
+        for flag in re.findall(r'add_argument\(\s*"(--[\w-]+)"', path.read_text())
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices.values()
+    options = {flag for p in (parser, *commands) for action in p._actions for flag in action.option_strings}
+    known = options | bench_flags | {"--no-build-isolation"}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (root / "README.md").read_text()))
+    assert sorted(named - known) == []

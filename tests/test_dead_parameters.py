@@ -2,9 +2,9 @@
 body reads is an option no caller can use, and one more thing to document.
 Likewise every name a module imports is read, or exported through its
 __all__: an import that nothing reads is left over from code that went. And
-every name an __all__ lists is bound, and every name the package imports is
-in its module's __all__: an export that outlives its code breaks
-`from module import *`."""
+every name an __all__ lists is bound: an export that outlives its code
+breaks `from module import *`. The package root re-exports nothing, so each
+name has one place to be imported from."""
 
 import ast
 import importlib
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "maskorder").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "maskorder").glob("*.py"))
 
 
 def functions(tree):
@@ -70,7 +71,7 @@ def unused_imports(tree):
     return sorted(imported - read - exported)
 
 
-@pytest.mark.parametrize("path", [p for p in SRC if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_imports(tree) == [], f"{path.name}: imports no body reads"
@@ -105,13 +106,18 @@ def test_the_scan_finds_an_unbound_export():
     assert unbound_exports(module) == ["gone"]
 
 
-def test_the_package_imports_only_exported_names():
-    init = SRC[0].parent / "__init__.py"
-    unexported = [
-        f"{node.module}.{alias.name}"
-        for node in ast.parse(init.read_text()).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
+def test_every_package_import_names_a_module():
+    """The package root imports nothing, and every `from maskorder import x`
+    in the program, its tests and its benchmark names a module."""
+    init = ast.parse(SRC[0].read_text())
+    assert not [node for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {path.stem for path in SRC}
+    not_modules = [
+        f"{path.name}: {alias.name}"
+        for path in [*SRC, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("maskorder", 0), (None, 1))
         for alias in node.names
-        if alias.name not in importlib.import_module(f"maskorder.{node.module}").__all__
+        if alias.name not in modules
     ]
-    assert unexported == [], "__init__.py imports names outside their module's __all__"
+    assert not_modules == [], "names imported from the package root instead of their module"
