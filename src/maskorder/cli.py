@@ -1,11 +1,13 @@
 """Command-line interface tying the pipeline together.
 
 Subcommands: gen-data, label, train, sample, analyze-merge, sweep, replay,
-self-bleu. A JSON object passed via --config supplies checked defaults for
-any long option of the chosen subcommand (command-line flags win). Decoding
-is random (categorical sampling) exactly when --temperature is given. A
-malformed or missing input file ends the command with exit 1 and one error
-line naming the file.
+self-bleu. `analyze-merge` is the CLI's merge oracle: it reports each
+reference trajectory's merged step count, and `merge.merge_trajectory`
+returns the merged trajectories themselves. A JSON object passed via
+--config supplies checked defaults for any long option of the chosen
+subcommand (command-line flags win). Decoding is random (categorical
+sampling) exactly when --temperature is given. A malformed or missing input
+file ends the command with exit 1 and one error line naming the file.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ def _build_denoiser(args):
     return model, den
 
 
+def _load_references(path, vocab, source):
+    """The records of trajectory file `path`; DenoiserError naming the file
+    and the record when a record's vocabulary is not `vocab`, that of
+    `source` (the chain or log the command reads them with)."""
+    records = load_records(path)
+    for rec in records:
+        if rec.vocab != vocab:
+            raise DenoiserError(f"{path}: record {rec.id!r} has vocab_size {rec.vocab.size}, {source} has V={vocab.size}")
+    return records
+
+
 def _decode_cfg(args, seed):
     """The decode of every command: full-step for --sampler full, else
     threshold mode at --epsilon (NI's base sampler included)."""
@@ -67,7 +80,7 @@ def cmd_label(args):
     for flag, value in (("--k1", args.k1), ("--k2", args.k2)):  # V is known only once the chain is loaded
         if not 1 <= value <= model.V:
             args.usage_error(f"invalid value {value} for {flag}: must lie in 1..{model.V}, the chain's vocabulary size")
-    records = load_records(args.traj)
+    records = _load_references(args.traj, den.vocab, f"the chain {args.denoiser}")
     rng = np.random.default_rng(args.seed)
     cfg = LabelingConfig(k1=args.k1, k2=args.k2, min_pos_prob=args.min_pos_prob)
     ds = build_dataset(records, den, args.cuts, rng, cfg)
@@ -103,38 +116,29 @@ def cmd_train(args):
 def cmd_sample(args):
     """`sample`, and `gen-data`, whose samplers are `sample`'s full and threshold."""
     model, den = _build_denoiser(args)
-    if args.sampler == "merge-oracle":
-        references = load_records(args.traj)
-        records = []
-        for ref in references:
-            merged, _ = merge_trajectory(ref.trajectory, ref.base(), den)
-            records.append(
-                SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, merged)
-            )
-    else:
-        cfg = _decode_cfg(args, args.seed)
-        indicator = ni_cfg = None
-        if args.sampler == "ni":
-            indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
-            ni_cfg = NIConfig(base=cfg, eps_phi=args.eps_phi)
-        records = harness.gen_data(
-            den,
-            model,
-            prompt_len=args.prompt_len,
-            gen_len=args.gen_len,
-            count=args.count,
-            cfg=cfg,
-            seed=args.seed,
-            indicator=indicator,
-            ni_cfg=ni_cfg,
-        )
+    cfg = _decode_cfg(args, args.seed)
+    indicator = ni_cfg = None
+    if args.sampler == "ni":
+        indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
+        ni_cfg = NIConfig(base=cfg, eps_phi=args.eps_phi)
+    records = harness.gen_data(
+        den,
+        model,
+        prompt_len=args.prompt_len,
+        gen_len=args.gen_len,
+        count=args.count,
+        cfg=cfg,
+        seed=args.seed,
+        indicator=indicator,
+        ni_cfg=ni_cfg,
+    )
     save_records(records, args.out)
     print(f"wrote {len(records)} trajectories to {args.out}")
 
 
 def cmd_analyze_merge(args):
     _, den = _build_denoiser(args)
-    records = load_records(args.traj)
+    records = _load_references(args.traj, den.vocab, f"the chain {args.denoiser}")
     with open(args.report, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "original_steps", "merged_steps", "speedup", "preserved"])
@@ -178,13 +182,7 @@ def cmd_sweep(args):
 
 def cmd_replay(args):
     den = ReplayDenoiser(args.log)
-    references = load_records(args.traj)
-    for ref in references:
-        if ref.vocab != den.vocab:
-            raise DenoiserError(
-                f"{args.traj}: record {ref.id!r} has vocab_size {ref.vocab.size}, "
-                f"the log {args.log} has V={den.vocab.size}"
-            )
+    references = _load_references(args.traj, den.vocab, f"the log {args.log}")
     mismatches = 0
     records = []
     for ref in references:
@@ -254,7 +252,7 @@ def build_parser():
     p = sub.add_parser("sample", help="decode with a chosen sampler")
     _add_denoiser_args(p)
     common(p)
-    p.add_argument("--sampler", choices=["full", "threshold", "ni", "merge-oracle"], required=True)
+    p.add_argument("--sampler", choices=["full", "threshold", "ni"], required=True)
     p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.9)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
@@ -263,7 +261,6 @@ def build_parser():
     p.add_argument("--gen-len", type=int, default=32)
     p.add_argument("--ckpt", help="indicator checkpoint (sampler=ni)")
     p.add_argument("--eps-phi", type=float, default=NIConfig.eps_phi)
-    p.add_argument("--traj", help="reference trajectories (sampler=merge-oracle)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -365,11 +362,8 @@ def _check(parser, args) -> None:
                 config(**{name: getattr(args, dest)})
             except ValueError as exc:
                 parser.error(f"invalid value {getattr(args, dest)} for --{dest.replace('_', '-')}: {exc}")
-    if args.command == "sample":
-        if args.sampler == "ni" and not args.ckpt:
-            parser.error("--sampler ni requires --ckpt")
-        if args.sampler == "merge-oracle" and not args.traj:
-            parser.error("--sampler merge-oracle requires --traj")
+    if args.command == "sample" and args.sampler == "ni" and not args.ckpt:
+        parser.error("--sampler ni requires --ckpt")
 
 
 def main(argv=None):

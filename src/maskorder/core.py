@@ -309,7 +309,7 @@ _RECORD_KEYS = {  # trajectory JSONL key -> check of its value
     "id": lambda v: isinstance(v, str),
     "vocab_size": lambda v: _is_int(v, 2),
     "prompt": _ints,
-    "gen_len": lambda v: _is_int(v, 0),
+    "gen_len": lambda v: _is_int(v, 1),
     "steps": lambda v: isinstance(v, list) and all(isinstance(s, list) and all(_ints(p, 2) for p in s) for s in v),
     "sampler": lambda v: isinstance(v, str),
     "seed": _is_int,

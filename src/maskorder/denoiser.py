@@ -56,8 +56,8 @@ class MarkovModel:
             raise DenoiserError(f"probabilities must be numeric arrays: {exc}") from None
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition", transition)
-        if initial.ndim != 1 or not initial.size:
-            raise DenoiserError(f"initial must be a non-empty vector, got shape {initial.shape}")
+        if initial.ndim != 1 or initial.size < 2:
+            raise DenoiserError(f"initial must be a vector of V >= 2 probabilities, got shape {initial.shape}")
         V = initial.shape[0]
         if transition.shape != (V, V):
             raise DenoiserError(f"transition must be {V}x{V}, got {transition.shape}")

@@ -67,15 +67,6 @@ class TestPipeline:
         )
         assert len(load_records(ni_out)) == 3
 
-        merged_out = tmp_path / "merged.jsonl"
-        run(
-            "sample", "--denoiser", chain_file, "--sampler", "merge-oracle",
-            "--traj", str(traj), "--out", str(merged_out),
-        )
-        merged = load_records(merged_out)
-        assert [r.id for r in merged] == [r.id for r in records]
-        assert all(m.trajectory.n <= r.trajectory.n for m, r in zip(merged, records))
-
         report = tmp_path / "merge.csv"
         run(
             "analyze-merge", "--denoiser", chain_file, "--traj", str(traj),
@@ -83,8 +74,11 @@ class TestPipeline:
         )
         lines = report.read_text().splitlines()
         assert lines[0] == "id,original_steps,merged_steps,speedup,preserved"
-        assert len(lines) == 5
-        assert all(line.endswith("true") for line in lines[1:])
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [r.id for r in records]
+        assert [int(row[1]) for row in rows] == [r.trajectory.n for r in records]
+        assert all(int(row[2]) <= int(row[1]) for row in rows)
+        assert all(row[4] == "true" for row in rows)
 
         sweep_csv = tmp_path / "sweep.csv"
         summary = tmp_path / "summary.json"
@@ -414,12 +408,14 @@ class TestUsageErrors:
         )
         assert "--ckpt" in err
 
-    def test_merge_oracle_needs_reference_trajectories(self, tmp_path, chain_file, capsys):
-        err = _usage_error(
-            capsys, "sample", "--denoiser", chain_file, "--sampler", "merge-oracle",
-            "--out", str(tmp_path / "a.jsonl"),
-        )
-        assert "--traj" in err
+    def test_sample_has_no_merge_oracle(self, tmp_path, chain_file, capsys):
+        out = tmp_path / "a.jsonl"
+        argv = ("sample", "--denoiser", chain_file, "--out", str(out))
+        err = _usage_error(capsys, *argv, "--sampler", "merge-oracle", "--traj", str(out))
+        assert "invalid choice: 'merge-oracle'" in err
+        err = _usage_error(capsys, *argv, "--sampler", "full", "--traj", str(out))
+        assert "unrecognized arguments: --traj" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -517,19 +513,39 @@ class TestInputErrors:
     """A malformed or missing input file ends the run with exit 1 and one
     error line naming the file, not a traceback."""
 
-    @pytest.mark.parametrize("case", ["denoiser-bool-initial", "traj-int-id", "traj-missing", "data-not-an-archive"])
+    @pytest.mark.parametrize(
+        "case",
+        ["denoiser-bool-initial", "denoiser-one-token", "traj-int-id", "traj-zero-gen-len", "traj-missing", "data-not-an-archive"],
+    )
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, chain_file, capsys, case):
-        chain, traj, missing, data, out = (tmp_path / name for name in ("b.json", "t.jsonl", "none.jsonl", "d.npz", "out"))
+        chain, v1, traj, empty, missing, data, out = (
+            tmp_path / name for name in ("b.json", "v1.json", "t.jsonl", "e.jsonl", "none.jsonl", "d.npz", "out")
+        )
         chain.write_text(json.dumps({"V": 2, "initial": [True, False], "transition": [[0.5, 0.5], [0.5, 0.5]]}))
+        v1.write_text(json.dumps({"V": 1, "initial": [1.0], "transition": [[1.0]]}))
         traj.write_text('{"id": 1}\n')
+        empty.write_text(SampleRecord("e", Vocabulary(8), (1,), 0, Trajectory(())).to_json() + "\n")
         data.write_text("not an archive\n")
         named, argv = {
             "denoiser-bool-initial": (chain, ("gen-data", "--denoiser", str(chain), "--count", "1")),
+            "denoiser-one-token": (v1, ("gen-data", "--denoiser", str(v1), "--count", "1")),
             "traj-int-id": (traj, ("label", "--denoiser", chain_file, "--traj", str(traj))),
+            "traj-zero-gen-len": (empty, ("label", "--denoiser", chain_file, "--traj", str(empty))),
             "traj-missing": (missing, ("label", "--denoiser", chain_file, "--traj", str(missing))),
             "data-not-an-archive": (data, ("train", "--data", str(data))),
         }[case]
         assert named.name in _input_error(capsys, *argv, "--out", str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["label", "analyze-merge"])
+    def test_a_record_of_another_vocabulary_names_the_file_and_the_record(self, tmp_path, chain_file, capsys, command):
+        chain3, traj, out = (tmp_path / name for name in ("chain3.json", "t.jsonl", "out"))
+        sticky_chain(3, 0.9).save(chain3)
+        run("gen-data", "--denoiser", str(chain3), "--count", "2", "--gen-len", "6", "--out", str(traj))
+        capsys.readouterr()
+        out_flag = {"label": "--out", "analyze-merge": "--report"}[command]
+        err = _input_error(capsys, command, "--denoiser", chain_file, "--traj", str(traj), out_flag, str(out))
+        assert re.search(r"t\.jsonl: record 's0-0' has vocab_size 3, the chain .*chain\.json has V=8", err)
         assert not out.exists()
 
 

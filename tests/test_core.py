@@ -296,10 +296,11 @@ class TestRecordValidation:
             (lambda d: d.update(id=7), r"record 7: keys \['id'\]"),
             (lambda d: d.update(vocab_size=1), r"record 'r7': keys \['vocab_size'\]"),
             (lambda d: d.update(gen_len=-1), r"record 'r7': keys \['gen_len'\]"),
+            (lambda d: d.update(gen_len=0, steps=[]), r"record 'r7': keys \['gen_len'\]"),
         ],
         ids=[
             "no-sampler", "no-seed-denoiser", "no-id", "float-token", "triple", "flat-step", "bool-token",
-            "float-prompt", "string-gen-len", "int-id", "vocab-size-1", "negative-gen-len",
+            "float-prompt", "string-gen-len", "int-id", "vocab-size-1", "negative-gen-len", "zero-gen-len",
         ],
     )
     def test_malformed_record_names_the_record(self, change, message):
