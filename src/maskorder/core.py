@@ -67,7 +67,8 @@ class MaskedSequence:
     vocab: Vocabulary
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens if all(type(t) is int for t in tokens) else tuple(map(_int, tokens)))
         if not 0 <= self.prompt_len <= len(self.tokens):
             raise ValueError("prompt_len out of range")
         mask = self.vocab.mask_id
@@ -106,6 +107,8 @@ class MaskedSequence:
         """
         toks = list(self.tokens)
         for pos, tok in assignments:
+            if type(pos) is not int or type(tok) is not int:
+                pos, tok = _int(pos), _int(tok)
             i = self.prompt_len + pos
             if not 0 <= pos < self.gen_len:
                 raise ValueError(f"position {pos} outside generation region")
@@ -113,7 +116,7 @@ class MaskedSequence:
                 raise ValueError(f"position {pos} already revealed")
             if not self.vocab.is_token(tok):
                 raise ValueError(f"token {tok} out of vocabulary")
-            toks[i] = int(tok)
+            toks[i] = tok
         revealed = object.__new__(MaskedSequence)
         object.__setattr__(revealed, "tokens", tuple(toks))
         object.__setattr__(revealed, "prompt_len", self.prompt_len)
@@ -139,11 +142,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "steps",
-            tuple(frozenset((int(p), int(t)) for p, t in step) for step in self.steps),
-        )
+        object.__setattr__(self, "steps", tuple(frozenset(map(_pair, step)) for step in self.steps))
 
     @property
     def n(self) -> int:
@@ -295,6 +294,19 @@ class SampleRecord:
                 f"record {d['id']!r}: tokens {outside} outside the vocabulary of size {vocab.size}"
             )
         return SampleRecord(d["id"], vocab, tuple(d["prompt"]), d["gen_len"], traj)
+
+
+def _int(value) -> int:
+    """A position or a token as an int: a Python or numpy integer, never a bool or a float like 1.7."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"a position or token must be an integer, got {value!r}")
+
+
+def _pair(pair) -> tuple:
+    """A (position, token) pair of ints; a pair of Python ints passes as it is."""
+    p, t = pair
+    return (p, t) if type(p) is int and type(t) is int else (_int(p), _int(t))
 
 
 def _is_int(value, least=-np.inf) -> bool:

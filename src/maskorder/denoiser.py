@@ -4,10 +4,11 @@ The exact denoiser computes per-position posterior marginals over the
 vocabulary given all currently unmasked tokens, in closed form: under a
 first-order chain a masked position depends on the evidence only through its
 nearest observed neighbours, so every row is a product of two rows of cached
-transition powers T^k. Each MarkovModel caches T^k and pi*T^k for k below the
-longest sequence length L it has been queried with (L*V^2 floats, freed with
-the model). A temperature/noise wrapper simulates imperfect predictions, and
-a replay denoiser serves rows from a recorded archive.
+transition powers T^k. Each MarkovModel caches T^k and pi*T^k for k up to the
+longest sequence length L it has been queried with (about L*V^2 floats, freed
+with the model). A temperature/noise wrapper simulates imperfect predictions,
+and a replay denoiser serves rows from a recorded archive. For every denoiser,
+query_many(states) equals [query(s) for s in states], bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .core import MaskedSequence, Vocabulary, load_archive, save_archive
 
 LOG_FLOOR = 1e-12  # deterministic chains produce exact zeros
+_EDGE = np.array([-1])  # an observation that is no token: the edge of a state
 
 __all__ = [
     "MarkovModel",
@@ -70,32 +73,33 @@ class MarkovModel:
         rows = transition.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise DenoiserError("transition rows do not sum to 1")
-        object.__setattr__(self, "_powers", (np.empty((0, V, V)), np.empty((0, V))))
+        object.__setattr__(self, "_table", np.empty((0, V)))
 
     @property
     def V(self) -> int:
         return self.initial.shape[0]
 
-    def transition_powers(self, n: int) -> tuple:
-        """(T^k as an (n, V, V) array, pi*T^k as (n, V)) for k = 0..n-1.
+    def _powers(self, n: int) -> np.ndarray:
+        """T^k and pi*T^k for the gaps k = 0..n-1 as one read-only (n*(V+1), V)
+        table: row k*(V+1)+a is row a of T^k, and row k*(V+1)+V is pi*T^k.
 
-        The powers are cached on the model and grown to the largest n asked
-        for, never beyond it, so the cache holds n*V^2 floats and is freed with
-        the model. Each power is the previous one times T, so the values do not
-        depend on the order of the requests. The arrays are read-only.
+        The table is cached on the model and grown to the most gaps asked for,
+        never beyond, and is freed with the model. Each power is the previous
+        one times T, so the values do not depend on the order of the requests.
         """
-        t_pows, pi_pows = self._powers
-        have = t_pows.shape[0]
+        table, V = self._table, self.V
+        have = len(table) // (V + 1)
         if have < n:
-            t_pows, cached = np.empty((n, self.V, self.V)), t_pows
-            t_pows[:have] = cached
+            grown = np.empty((n, V + 1, V))
+            grown.reshape(-1, V)[: len(table)] = table
             for k in range(have, n):
-                t_pows[k] = t_pows[k - 1] @ self.transition if k else np.eye(self.V)
-            pi_pows = self.initial @ t_pows
-            t_pows.flags.writeable = pi_pows.flags.writeable = False
-            # one assignment: a concurrent query sees either the old or the new pair
-            object.__setattr__(self, "_powers", (t_pows, pi_pows))
-        return t_pows[:n], pi_pows[:n]
+                grown[k, :V] = grown[k - 1, :V] @ self.transition if k else np.eye(V)
+            grown[:, V] = self.initial @ grown[:, :V]
+            table = grown.reshape(-1, V)
+            table.flags.writeable = False
+            # one assignment: a concurrent query sees either the old or the new table
+            object.__setattr__(self, "_table", table)
+        return table
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> tuple:
         if length < 0:
@@ -195,49 +199,63 @@ def markov_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
 
     with (pi*T^i)[v] as the left factor when there is no left neighbour and 1
     as the right factor when there is no right one, gathered from the model's
-    cached powers (MarkovModel.transition_powers). Prompt tokens are ordinary
+    cached powers (MarkovModel._powers). Prompt tokens are ordinary
     observations. Evidence of zero probability raises DenoiserError. The
     features are three read-only context columns, not the rows again: the
     distances to the nearest observed neighbour on the left and on the right
     (over L, 1.0 where there is none) and the masked fraction.
     """
-    V, L = model.V, len(seq)
-    tokens = seq.token_array
-    observed = tokens != seq.vocab.mask_id
-    pos = (~observed).nonzero()[0]
-    if not pos.size:
-        raise DenoiserError("sequence has no masked positions")
-    if seq.vocab.size != V:
-        raise DenoiserError(f"vocabulary mismatch: model V={V}, sequence V={seq.vocab.size}")
-    t_pows, pi_pows = model.transition_powers(L)
+    return _posteriors(model, [seq])[0]
 
-    # P(evidence) = (pi*T^o0)[t0] * prod T^(gap)[a, b] over consecutive observations
-    obs = observed.nonzero()[0]
+
+def _posteriors(model: MarkovModel, seqs) -> list:
+    """markov_posterior of each state, in one pass over the states laid end to
+    end between edges, -1, each row computed as if its state were alone. As a
+    token index, -1 picks row V of the block one gap down: pi*T^i next to a
+    left edge. A failing batch raises a failing state's DenoiserError, every
+    state's vocabulary checked first, then the evidence, then masked positions."""
+    V = model.V
+    parts, edges = [_EDGE], [0]
+    for seq in seqs:
+        if seq.vocab.size != V:
+            raise DenoiserError(f"vocabulary mismatch: model V={V}, sequence V={seq.vocab.size}")
+        parts += (seq.token_array, _EDGE)
+        edges.append(edges[-1] + len(seq) + 1)
+    tokens = np.concatenate(parts)
+    observed = tokens != V
+    pos, obs = (~observed).nonzero()[0], observed.nonzero()[0]
     seen = tokens[obs]
-    factors = t_pows[obs[1:] - obs[:-1], seen[:-1], seen[1:]]
-    if obs.size and min(pi_pows[obs[0], seen[0]], factors.min(initial=1.0)) <= 0.0:
+    powers = model._powers(max(map(len, seqs)) + 1)  # a state's edges lie L + 1 apart
+    # P(evidence) = (pi*T^o0)[t0] * prod T^(gap)[a, b] over consecutive observations
+    ends = seen[1:]  # a pair that ends at an edge has no factor
+    if np.minimum.reduce(powers[(obs[1:] - obs[:-1]) * (V + 1) + seen[:-1], ends], where=ends >= 0, initial=1.0) <= 0:
         raise DenoiserError("observed sequence has zero probability under the chain")
 
-    # j counts the observations before each masked position and rises with it,
-    # so the first a rows have no left neighbour and the rows from b on no right one
+    # each masked position's nearest observations, tokens or edges, are obs[j - 1] and obs[j]
     j = obs.searchsorted(pos)
-    a, b = j.searchsorted(1), j.searchsorted(obs.size)
-    before, after = j[a:] - 1, j[:b]  # the neighbours' indices into obs
-    gap_left, gap_right = pos[a:] - obs[before], obs[after] - pos[:b]
-
-    rows = np.empty((len(pos), V))
-    rows[:a] = pi_pows[pos[:a]]
-    rows[a:] = t_pows[gap_left, seen[before]]
-    rows[:b] *= t_pows[gap_right, :, seen[after]]
+    before = j - 1
+    gap_left, gap_right = pos - obs[before], obs[j] - pos
+    rows = powers.take(gap_left * (V + 1) + seen[before], axis=0)
+    b = seen[j]
+    has_right = (b >= 0).nonzero()[0]  # the right edge's factor is 1
+    rows[has_right] *= powers.reshape(-1, V + 1, V)[gap_right[has_right], :V, b[has_right]]
     rows /= rows.sum(axis=1, keepdims=True)
-    features = np.empty((len(pos), 3))
-    features[:a, 0] = features[b:, 1] = 1.0
-    features[a:, 0] = gap_left / L
-    features[:b, 1] = gap_right / L
-    features[:, 2] = len(pos) / max(seq.gen_len, 1)
-    pos -= seq.prompt_len
+    # a state's rows x..y-1 ascend, so those before p border its left edge, obs[e],
+    # and those from q on its right one, obs[f]
+    features, bounds = np.empty((len(pos), 3)), []
+    edge_obs = obs.searchsorted(edges).tolist()
+    for seq, edge, e, f in zip(seqs, edges, edge_obs, edge_obs[1:]):
+        x, p, q, y = j.searchsorted((e + 1, e + 2, f, f + 1)).tolist()
+        if x == y:
+            raise DenoiserError("sequence has no masked positions")
+        features[x:p, 0] = features[q:y, 1] = 1.0
+        features[p:y, 0] = gap_left[p:y] / len(seq)
+        features[x:q, 1] = gap_right[x:q] / len(seq)
+        features[x:y, 2] = (y - x) / max(seq.gen_len, 1)
+        pos[x:y] -= edge + 1 + seq.prompt_len  # generation-relative
+        bounds.append((x, y))
     pos.flags.writeable = features.flags.writeable = False
-    return DenoiserOutput(pos, rows, features)
+    return [DenoiserOutput(pos[x:y], rows[x:y], features[x:y]) for x, y in bounds]
 
 
 def temper(
@@ -251,20 +269,31 @@ def temper(
     Each row becomes softmax(log p / temperature + N(0, noise_scale)), so a
     zero probability stays exactly zero; out.features pass through, shared.
     """
+    return _temper([out], temperature, noise_scale, [rng])[0]
+
+
+def _temper(outs, temperature: float, noise_scale: float, rngs) -> list:
+    """temper of each output, with its own generator drawing its rows' noise,
+    in one pass over all the outputs' rows: each answer equals temper's."""
     if not 0 < temperature < np.inf:
         raise DenoiserError(f"temperature must be positive and finite, got {temperature}")
     if not 0 <= noise_scale < np.inf:
         raise DenoiserError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+    bounds = [0, *accumulate(len(out.dists) for out in outs)]
     with np.errstate(divide="ignore"):  # log 0 = -inf keeps a zero at zero
-        rows = np.log(out.dists)
+        rows = np.log(outs[0].dists if len(outs) == 1 else np.concatenate([out.dists for out in outs]))
     if temperature != 1.0:  # dividing by exactly 1 changes no bit
         rows /= temperature
     if noise_scale > 0:  # the draws of rng.normal(0.0, noise_scale), without adding the 0.0
-        rows += noise_scale * rng.standard_normal(rows.shape)
-    rows -= rows.max(axis=1, keepdims=True)
+        noise = np.empty_like(rows)
+        for rng, a, b in zip(rngs, bounds, bounds[1:]):
+            rng.standard_normal(out=noise[a:b])
+        noise *= noise_scale
+        rows += noise
+    rows -= rows[np.arange(len(rows)), rows.argmax(axis=1)][:, None]  # each row's maximum, gathered faster than max()
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    return DenoiserOutput(out.positions, rows, out.features)
+    return [DenoiserOutput(out.positions, rows[a:b], out.features) for out, a, b in zip(outs, bounds, bounds[1:])]
 
 
 def extract_features(out: DenoiserOutput, rows, k1: int, k2: int) -> FeatureBundle:
@@ -295,14 +324,17 @@ class MarkovDenoiser:
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         return markov_posterior(self.model, seq)
 
+    def query_many(self, seqs) -> list:
+        return _posteriors(self.model, seqs)
+
 
 class TemperedDenoiser:
     """Noise wrapper that is a pure function of the queried state.
 
     The noise stream is seeded from (seed, state hash), so re-querying the
     same state reproduces the same rows; this keeps merge analyses and their
-    re-simulations consistent without sharing a mutable RNG. The inner
-    features, of any width, pass through unchanged.
+    re-simulations consistent without sharing a mutable RNG, and query_many
+    tempers the states' rows together. Inner features of any width pass through.
     """
 
     def __init__(self, inner, temperature: float = 1.0, noise_scale: float = 0.0, seed: int = 0):
@@ -321,10 +353,14 @@ class TemperedDenoiser:
         self.config_id = f"{inner.config_id}|temp={temperature}|noise={noise_scale}|seed={seed}"
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
-        out = self.inner.query(seq)
-        key = int(state_hash(seq)[:16], 16)
-        rng = np.random.default_rng((self.seed, key))
-        return temper(out, self.temperature, self.noise_scale, rng)
+        return self._tempered([seq], [self.inner.query(seq)])[0]
+
+    def query_many(self, seqs) -> list:
+        return self._tempered(seqs, self.inner.query_many(seqs))
+
+    def _tempered(self, seqs, outs) -> list:
+        rngs = [np.random.default_rng((self.seed, int(state_hash(seq)[:16], 16))) for seq in seqs]
+        return _temper(outs, self.temperature, self.noise_scale, rngs)
 
 
 class RecordingDenoiser:
@@ -344,9 +380,13 @@ class RecordingDenoiser:
         self._outputs: dict = {}
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
-        out = self.inner.query(seq)
-        self._outputs.setdefault(state_hash(seq), (out, seq.prompt_len))
-        return out
+        return self.query_many([seq])[0]
+
+    def query_many(self, seqs) -> list:
+        outs = self.inner.query_many(seqs)
+        for seq, out in zip(seqs, outs):
+            self._outputs.setdefault(state_hash(seq), (out, seq.prompt_len))
+        return outs
 
     def close(self) -> None:
         outs = list(self._outputs.values())
@@ -429,3 +469,6 @@ class ReplayDenoiser:
         positions = positions - seq.prompt_len
         positions.flags.writeable = False
         return DenoiserOutput(positions, rows, hidden)
+
+    def query_many(self, seqs) -> list:
+        return [self.query(seq) for seq in seqs]

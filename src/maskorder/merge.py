@@ -74,7 +74,7 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
         return traj.step_of[out.positions] < idx, traj.finals[out.positions]
 
     merged_traj = Trajectory(
-        run_steps(denoiser, base, choose, traj.n),
+        run_steps(denoiser, [base], [choose], traj.n)[0],
         meta={**traj.meta, "sampler": f"merge({traj.meta.get('sampler', '?')})"},
     )
     return merged_traj, _report(traj, merged_traj, tuple(groups))
@@ -101,7 +101,7 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
         return rows, tokens
 
     frp_traj = Trajectory(
-        run_steps(denoiser, base, choose, base.gen_len),
+        run_steps(denoiser, [base], [choose], base.gen_len)[0],
         meta={**traj.meta, "sampler": f"final-preserving({traj.meta.get('sampler', '?')})"},
     )
     return frp_traj, _report(traj, frp_traj, None)

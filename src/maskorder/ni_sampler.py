@@ -59,7 +59,7 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     return Trajectory(
-        run_steps(denoiser, base, choose, gen_len),
+        run_steps(denoiser, [base], [choose], gen_len)[0],
         meta={
             "sampler": "ni",
             "seed": cfg.base.seed,

@@ -196,7 +196,7 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
         return rows, traj.finals[out.positions]
 
     return Trajectory(
-        run_steps(denoiser, record.base(), choose, traj.n),
+        run_steps(denoiser, [record.base()], [choose], traj.n)[0],
         meta={**traj.meta, "sampler": "oracle-indicator"},
     )
 

@@ -53,7 +53,13 @@ class RowFeatures:
         self.config_id = f"{inner.config_id}|row-features"
 
     def query(self, seq) -> DenoiserOutput:
-        out = self.inner.query(seq)
+        return self._widen(self.inner.query(seq))
+
+    def query_many(self, seqs) -> list:
+        return [self._widen(out) for out in self.inner.query_many(seqs)]
+
+    @staticmethod
+    def _widen(out) -> DenoiserOutput:
         return DenoiserOutput(out.positions, out.dists, np.concatenate([out.dists, out.features], axis=1))
 
 

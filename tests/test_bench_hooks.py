@@ -113,3 +113,44 @@ def test_traced_ni_decode_counts_each_querys_rows_and_the_base_rule_picks():
     metrics = spans.layer_metrics(tracer.spans, 0, len(tracer.spans))
     assert metrics["ni_sampler.base_reveals"] == sum(picks)
     assert metrics["ni_sampler.gate_reveals"] == 16 - sum(picks) > 0
+
+
+def _traced(fn):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        return fn(tracer), tracer.spans
+    finally:
+        tracer.uninstall()
+
+
+def test_a_one_prompt_gen_data_is_one_traced_decode_with_a_posterior_per_query():
+    # the traced run counts decode steps through harness.decode and times the
+    # posterior through den.inner: one prompt must not take the lockstep path
+    model = sticky_chain(4, 0.8)
+    den = TemperedDenoiser(MarkovDenoiser(model), noise_scale=0.3, seed=1)
+    (record,), traced = _traced(
+        lambda tr: harness.gen_data(tr.denoiser(den), model, 2, 12, 1, DecodeConfig(threshold=0.9), seed=3)
+    )
+    names = [span[spans.NAME] for span in traced]
+    assert names.count("orders.decode") == 1
+    assert [span[spans.N] for span in traced if span[spans.NAME] == "orders.decode"] == [record.trajectory.n]
+    queries = [i for i, name in enumerate(names) if name == "denoiser.query"]
+    assert len(queries) == record.trajectory.n > 1
+    for i in queries:
+        assert [span[spans.NAME] for span in traced if span[spans.PARENT] == i] == ["denoiser.posterior"]
+
+
+def test_a_three_prompt_ni_gen_data_is_three_traced_ni_decodes():
+    # NI stays prompt by prompt: its indicator scoring is not bit-exact across prompts
+    model = sticky_chain(4, 0.8)
+    den = TemperedDenoiser(MarkovDenoiser(model), noise_scale=0.3, seed=1)
+    ni_cfg = NIConfig(base=DecodeConfig(threshold=0.95), eps_phi=0.6)
+    records, traced = _traced(
+        lambda tr: harness.gen_data(
+            tr.denoiser(den), model, 2, 12, 3, DecodeConfig(), seed=3, indicator=tr.indicator(TopOneGate()), ni_cfg=ni_cfg
+        )
+    )
+    decodes = [span for span in traced if span[spans.NAME] == "ni_sampler.ni_decode"]
+    assert [span[spans.N] for span in decodes] == [r.trajectory.n for r in records] and len(decodes) == 3
+    assert not any(span[spans.NAME] == "orders.decode" for span in traced)

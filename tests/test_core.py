@@ -96,6 +96,40 @@ class TestMaskedSequence:
             seq.reveal(step)
         assert seq.tokens == (1, 4, 4, 4)
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.bool_(False), 2.0, "1", None], ids=repr)
+    def test_a_token_that_is_not_an_integer_is_rejected(self, bad):
+        # int() would truncate 1.5 to 1 and read True as 1
+        with pytest.raises(TypeError, match="must be an integer"):
+            MaskedSequence((bad, 4, 4), 1, Vocabulary(4))
+        with pytest.raises(TypeError, match="must be an integer"):
+            MaskedSequence((1, 4, bad), 1, Vocabulary(4))
+
+    @pytest.mark.parametrize("step", [[(0, 2.9)], [(0.0, 1)], [(True, 1)], [(0, np.True_)], [(1, 2), (0, 1.5)]])
+    def test_reveal_rejects_a_position_or_token_that_is_not_an_integer(self, step):
+        seq = MaskedSequence.fully_masked((1,), 3, Vocabulary(4))
+        with pytest.raises(TypeError, match="must be an integer"):
+            seq.reveal(step)
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        seq = MaskedSequence((np.int64(1), np.int32(4), np.uint8(2)), 1, Vocabulary(4))
+        assert seq.tokens == (1, 4, 2) and all(type(t) is int for t in seq.tokens)
+        revealed = seq.reveal([(np.int64(0), np.int16(3))])
+        assert revealed.tokens == (1, 3, 2) and all(type(t) is int for t in revealed.tokens)
+
+
+class TestTrajectoryPairs:
+    @pytest.mark.parametrize(
+        "step", [frozenset({(0, 1.7), (1.2, True)}), [(0, 1), (1, True)], [(0.0, 1)], [(np.bool_(True), 0)]]
+    )
+    def test_a_position_or_token_that_is_not_an_integer_is_rejected(self, step):
+        with pytest.raises(TypeError, match="must be an integer"):
+            Trajectory((step,))
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        t = Trajectory(([(np.int64(1), np.uint8(0))], [[np.int32(0), 2]]))
+        assert t.steps == (frozenset({(1, 0)}), frozenset({(0, 2)}))
+        assert all(type(v) is int for step in t.steps for pair in step for v in pair)
+
 
 class TestValidatePartition:
     def test_minimal_legal_partition(self):

@@ -1,7 +1,8 @@
 """Property tests of the decode loop that every sampler shares (orders.run_steps).
 
 Each sampler is a reveal policy on that loop; these properties hold for every
-policy, chain, prompt, rule, threshold and seed hypothesis draws.
+policy, chain, prompt, rule, threshold and seed hypothesis draws. Decoding
+several prompts in lockstep gives each the trajectory it gets alone.
 
 The step ordering final-preserving <= merge is not asserted: it is an
 empirical property, not a theorem. Even with the exact posterior, random
@@ -14,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantIndicator, oracle_indicator_decode, random_chain, row_at
+from dataclasses import replace
+
+from conftest import ConstantIndicator, oracle_indicator_decode, permutation_chain, random_chain, row_at
+from maskorder import harness
 from maskorder.core import MaskedSequence, SampleRecord, apply_steps, final_tokens, validate_partition
-from maskorder.denoiser import MarkovDenoiser, TemperedDenoiser
+from maskorder.denoiser import DenoiserError, MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import final_results_preserving, merge_trajectory
 from maskorder.ni_sampler import NIConfig, ni_decode
-from maskorder.orders import RULES, DecodeConfig, decode, run_steps
+from maskorder.orders import RULES, DecodeConfig, decode, decode_many, run_steps
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -142,7 +146,7 @@ def test_the_loop_queries_once_per_step(instance):
     def first_masked(out, state):
         return [0], zeros(out)
 
-    steps = run_steps(counting, base, first_masked, gen_len)
+    steps = run_steps(counting, [base], [first_masked], gen_len)[0]
     assert len(steps) == gen_len == counting.queries
 
 
@@ -160,7 +164,7 @@ def test_the_loop_stops_when_a_multi_position_policy_reveals_the_last_position(i
 
     expected = -(-gen_len // per_step)
     # a budget of exactly the steps needed: one more iteration would exceed it
-    steps = run_steps(counting, base, leftmost, expected)
+    steps = run_steps(counting, [base], [leftmost], expected)[0]
     assert len(steps) == counting.queries == expected
     assert seen == list(range(gen_len, 0, -per_step))
     assert sorted(pos for step in steps for pos, _ in step) == list(range(gen_len))
@@ -176,7 +180,7 @@ def test_a_policy_that_reveals_everything_at_once_takes_one_step(instance):
     def everything(out, state):
         return np.ones(len(out.positions), dtype=bool), zeros(out)
 
-    steps = run_steps(counting, base, everything, 1)
+    steps = run_steps(counting, [base], [everything], 1)[0]
     assert len(steps) == counting.queries == 1
     assert steps[0] == frozenset((pos, 0) for pos in range(gen_len))
 
@@ -185,14 +189,14 @@ def test_a_stalled_policy_exhausts_the_step_budget():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)
     with pytest.raises(RuntimeError, match="step budget of 3"):
-        run_steps(den, base, lambda out, state: ([], zeros(out)), 3)
+        run_steps(den, [base], [lambda out, state: ([], zeros(out))], 3)
 
 
 def test_a_row_chosen_twice_is_an_error():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)
     with pytest.raises(ValueError, match="already revealed"):
-        run_steps(den, base, lambda out, state: ([1, 1], zeros(out)), 4)
+        run_steps(den, [base], [lambda out, state: ([1, 1], zeros(out))], 4)
 
 
 @SETTINGS
@@ -212,6 +216,135 @@ def test_a_mask_and_its_index_array_give_the_same_step(instance, data):
 
         return choose
 
-    steps = [run_steps(den, base, first_then_the_rest(rows), 2) for rows in (mask, np.flatnonzero(mask))]
+    steps = [run_steps(den, [base], [first_then_the_rest(rows)], 2)[0] for rows in (mask, np.flatnonzero(mask))]
     assert steps[0] == steps[1]
     assert steps[0][0] == frozenset(zip(np.flatnonzero(mask).tolist(), tokens[mask].tolist()))
+
+
+# -- lockstep: several sequences on one loop decode as each does alone --
+
+
+@st.composite
+def lockstep_instances(draw):
+    """(denoiser, prompt model, prompt_len, gen_len, count, config, seed) over a small random chain."""
+    V = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_chain(V, rng, diag_boost=draw(st.floats(0.0, 4.0)))
+    den = MarkovDenoiser(model)
+    if draw(st.booleans()):
+        den = TemperedDenoiser(den, temperature=draw(st.floats(0.7, 1.5)), noise_scale=0.3, seed=draw(st.integers(0, 99)))
+    cfg = DecodeConfig(
+        rule=draw(st.sampled_from(RULES)),
+        threshold=draw(st.none() | st.floats(0.05, 1.0)),
+        temperature=draw(st.none() | st.floats(0.5, 2.0)),
+    )
+    return den, model, draw(st.integers(0, 3)), draw(st.integers(1, 9)), draw(st.integers(2, 6)), cfg, draw(st.integers(0, 999))
+
+
+def _assert_gen_data_decodes_as_prompt_by_prompt(den, model, prompt_len, gen_len, count, cfg, seed):
+    records = harness.gen_data(den, model, prompt_len, gen_len, count, cfg, seed)
+    prompts = harness.sample_prompts(model, prompt_len, count, seed)
+    alone = [
+        decode(den, prompt, gen_len, replace(cfg, seed=seed * 100003 + i)) for i, prompt in enumerate(prompts)
+    ]
+    assert [r.to_json() for r in records] == [
+        SampleRecord(f"s{seed}-{i}", den.vocab, prompt, gen_len, traj).to_json()
+        for i, (prompt, traj) in enumerate(zip(prompts, alone))
+    ]
+
+
+@SETTINGS
+@given(lockstep_instances())
+def test_gen_data_writes_the_records_of_per_prompt_decodes(instance):
+    _assert_gen_data_decodes_as_prompt_by_prompt(*instance)
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("threshold", [None, 0.6])
+@pytest.mark.parametrize("temperature", [None, 1.0])
+@pytest.mark.parametrize("tempered", [False, True])
+@pytest.mark.parametrize("prompt_len", [0, 2])
+def test_gen_data_writes_the_records_of_per_prompt_decodes_in_every_mode(
+    rule, threshold, temperature, tempered, prompt_len
+):
+    model = random_chain(4, np.random.default_rng(3), diag_boost=2.0)
+    den = MarkovDenoiser(model)
+    if tempered:
+        den = TemperedDenoiser(den, temperature=1.2, noise_scale=0.3, seed=5)
+    cfg = DecodeConfig(rule=rule, threshold=threshold, temperature=temperature)
+    _assert_gen_data_decodes_as_prompt_by_prompt(den, model, prompt_len, 8, 5, cfg, 11)
+
+
+@SETTINGS
+@given(lockstep_instances(), st.data())
+def test_decode_many_gives_each_prompt_its_own_decode(instance, data):
+    den, model, _, gen_len, count, _, seed = instance
+    rng = np.random.default_rng(seed)
+    prompts = [model.sample_sequence(data.draw(st.integers(0, 3)), rng) for _ in range(count)]
+    cfgs = [
+        DecodeConfig(
+            rule=data.draw(st.sampled_from(RULES)),
+            threshold=data.draw(st.none() | st.floats(0.05, 1.0)),
+            temperature=data.draw(st.none() | st.floats(0.5, 2.0)),
+            seed=i,
+        )
+        for i in range(count)
+    ]
+    together = decode_many(den, prompts, gen_len, cfgs)
+    alone = [decode(den, prompt, gen_len, cfg) for prompt, cfg in zip(prompts, cfgs)]
+    assert [(t.steps, t.meta) for t in together] == [(t.steps, t.meta) for t in alone]
+
+
+def test_gen_data_decodes_a_long_prompt_list_group_by_group(monkeypatch):
+    den = TemperedDenoiser(MarkovDenoiser(random_chain(4, np.random.default_rng(1))), noise_scale=0.3, seed=2)
+    cfg = DecodeConfig(threshold=0.7, temperature=1.0)
+    whole = harness.gen_data(den, den.inner.model, 2, 6, 7, cfg, seed=4)
+    calls = []
+    monkeypatch.setattr(harness, "_LOCKSTEP_PROMPTS", 3)
+    monkeypatch.setattr(harness, "decode_many", lambda den, prompts, *rest: calls.append(len(prompts)) or decode_many(den, prompts, *rest))
+    grouped = harness.gen_data(den, den.inner.model, 2, 6, 7, cfg, seed=4)
+    assert calls == [3, 3, 1]
+    assert [r.to_json() for r in grouped] == [r.to_json() for r in whole]
+
+
+def test_lockstep_raises_the_error_of_a_prompt_decoded_alone():
+    # under 0 -> 1 -> 2 -> 0, the sampled prompts (from a uniform chain) are
+    # mostly impossible: the first query of the batch meets them
+    den = MarkovDenoiser(permutation_chain(3))
+    uniform = random_chain(3, np.random.default_rng(0))
+    prompts = harness.sample_prompts(uniform, 3, 4, 0)
+    assert any(p[1] != (p[0] + 1) % 3 or p[2] != (p[1] + 1) % 3 for p in prompts)
+    with pytest.raises(DenoiserError) as alone:
+        for i, prompt in enumerate(prompts):
+            decode(den, prompt, 4, DecodeConfig(seed=i))
+    with pytest.raises(DenoiserError) as together:
+        harness.gen_data(den, uniform, 3, 4, 4, DecodeConfig(), seed=0)
+    assert str(together.value) == str(alone.value)
+
+
+def test_a_stalled_policy_exhausts_the_step_budget_in_lockstep():
+    den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
+    bases = [MaskedSequence.fully_masked((0,), n, den.vocab) for n in (4, 2)]
+    policies = [lambda out, state: ([0], zeros(out)), lambda out, state: ([], zeros(out))]
+    with pytest.raises(RuntimeError, match="step budget of 3"):
+        run_steps(den, bases, policies, 3)
+
+
+class _CountingMany(_Counting):
+    def query_many(self, seqs):
+        self.batches.append(len(seqs))
+        return self.inner.query_many(seqs)
+
+
+def test_the_loop_queries_the_live_sequences_together_and_one_alone():
+    den = _CountingMany(MarkovDenoiser(random_chain(3, np.random.default_rng(0))))
+    den.batches = []
+    bases = [MaskedSequence.fully_masked((0,), n, den.vocab) for n in (3, 1, 2)]
+    bases.append(bases[0].reveal([(0, 1), (1, 1), (2, 1)]))  # nothing to decode
+
+    def first_masked(out, state):
+        return [0], zeros(out)
+
+    steps = run_steps(den, bases, [first_masked] * 4, 3)
+    assert [len(s) for s in steps] == [3, 1, 2, 0]
+    assert den.batches == [3, 2] and den.queries == 1  # the third step has one live sequence

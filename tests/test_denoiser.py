@@ -256,11 +256,12 @@ class TestMarkovPosterior:
         den = MarkovDenoiser(model)
         for L, longest in ((10, 10), (50, 50), (30, 50), (51, 51)):
             den.query(MaskedSequence.fully_masked((1,), L - 1, den.vocab))
-            t_pows, pi_pows = model._powers
-            assert t_pows.shape == (longest, 5, 5) and pi_pows.shape == (longest, 5)
-        for k in (0, 1, 7, 50):
+            assert model._table.shape == ((longest + 1) * 6, 5)  # a query of length L gathers gaps 0..L
+        t_pows, pi_pows = cached_powers(model, 52)
+        for k in (0, 1, 7, 51):
             np.testing.assert_allclose(t_pows[k], np.linalg.matrix_power(model.transition, k), atol=1e-14)
             np.testing.assert_allclose(pi_pows[k], model.initial @ t_pows[k], atol=1e-14)
+        assert not model._table.flags.writeable
         assert not t_pows.flags.writeable and not pi_pows.flags.writeable
 
     def test_cache_is_freed_with_the_model(self):
@@ -423,6 +424,12 @@ class TestTemper:
 # -- reference: the query path with boolean-mask gathers and stacked features --
 
 
+def cached_powers(model: MarkovModel, n: int) -> tuple:
+    """(T^k, pi*T^k) for k = 0..n-1 as the model's cache holds them, bit for bit."""
+    table = model._powers(n)[: n * (model.V + 1)].reshape(n, model.V + 1, model.V)
+    return table[:, : model.V], table[:, model.V]
+
+
 def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutput:
     """The closed-form posterior gathered through boolean masks, with the
     context columns built apart and concatenated to the rows."""
@@ -430,7 +437,7 @@ def reference_posterior(model: MarkovModel, seq: MaskedSequence) -> DenoiserOutp
     tokens = np.asarray(seq.tokens)
     observed = tokens != seq.vocab.mask_id
     pos = np.flatnonzero(~observed)
-    t_pows, pi_pows = model.transition_powers(L)
+    t_pows, pi_pows = cached_powers(model, L)
     idx = np.arange(L)
     left = np.maximum.accumulate(np.where(observed, idx, -1))[pos]
     right = np.minimum.accumulate(np.where(observed, idx, L)[::-1])[::-1][pos]
@@ -743,3 +750,94 @@ class TestReplay:
         save_archive(log, arrays, meta)
         with pytest.raises(DenoiserError, match=rf"log\.npz(\.meta\.json)?: {message}"):
             ReplayDenoiser(log)
+
+
+# -- query_many: every denoiser answers a batch as it answers each state --
+
+
+@st.composite
+def state_batches(draw):
+    """(model, states): one to five states of their own lengths, prompts and masks, all observed
+    under the chain, and a state may repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = draw(st.integers(2, 9))
+    model = CHAINS[draw(st.sampled_from(sorted(CHAINS)))](V, rng)
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        L = draw(st.integers(1, 30))
+        prompt_len = draw(st.integers(0, L - 1))
+        n_masked = draw(st.integers(1, L - prompt_len))
+        states.append(observed_masked_sequence(model, L, prompt_len, n_masked, rng))
+    if draw(st.booleans()):
+        states.append(states[0])
+    return model, states
+
+
+def _denoisers(model, tmp_path):
+    exact = MarkovDenoiser(model)
+    return {
+        "markov": exact,
+        "tempered": TemperedDenoiser(exact, temperature=1.3, noise_scale=0.4, seed=7),
+        "sharpened": TemperedDenoiser(exact, temperature=0.5, noise_scale=0.0, seed=7),
+        "recording": RecordingDenoiser(TemperedDenoiser(exact, noise_scale=0.2), tmp_path / "unused.npz"),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_batches())
+def test_query_many_equals_query_bit_for_bit(tmp_path_factory, batch):
+    model, states = batch
+    for name, den in _denoisers(model, tmp_path_factory.mktemp("q")).items():
+        many = den.query_many(states)
+        assert len(many) == len(states), name
+        for state, out in zip(states, many):
+            assert_bitwise_equal(out, den.query(state))
+
+
+@settings(max_examples=40, deadline=None)
+@given(state_batches())
+def test_recording_and_replaying_a_batch_equal_doing_it_state_by_state(tmp_path_factory, batch):
+    model, states = batch
+    den = TemperedDenoiser(MarkovDenoiser(model), temperature=1.2, noise_scale=0.3, seed=3)
+    paths = []
+    for batched in (True, False):
+        paths.append(tmp_path_factory.mktemp("rec") / "log.npz")
+        with RecordingDenoiser(den, paths[-1]) as recorder:
+            outs = recorder.query_many(states) if batched else [recorder.query(s) for s in states]
+        for state, out in zip(states, outs):
+            assert_bitwise_equal(out, den.query(state))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert Path(f"{paths[0]}.meta.json").read_text() == Path(f"{paths[1]}.meta.json").read_text()
+    replay = ReplayDenoiser(paths[0])
+    for state, out in zip(states, replay.query_many(states)):
+        assert_bitwise_equal(out, replay.query(state))
+
+
+class TestQueryManyErrors:
+    """A batch with a failing state raises the error query raises for it."""
+
+    def _raises_like_query(self, den, states, bad):
+        with pytest.raises(DenoiserError) as single:
+            den.query(bad)
+        with pytest.raises(DenoiserError) as batched:
+            den.query_many(states)
+        assert str(batched.value) == str(single.value)
+        return str(single.value)
+
+    def test_zero_probability_evidence_inside_a_batch(self):
+        model = permutation_chain(3)  # 0 -> 1 -> 2 -> 0
+        vocab = Vocabulary(3)
+        good, bad = MaskedSequence((0, 3, 2), 1, vocab), MaskedSequence((0, 3, 0), 1, vocab)
+        for den in (MarkovDenoiser(model), TemperedDenoiser(MarkovDenoiser(model), noise_scale=0.5)):
+            for states in ([good, bad, good], [bad, good], [good, good, bad]):
+                assert "zero probability" in self._raises_like_query(den, states, bad)
+
+    def test_a_state_without_masked_positions_inside_a_batch(self):
+        den = MarkovDenoiser(sticky_chain(4, 0.9))
+        good, full = MaskedSequence((1, 4, 4), 1, Vocabulary(4)), MaskedSequence((1, 2, 3), 1, Vocabulary(4))
+        assert "no masked positions" in self._raises_like_query(den, [good, full], full)
+
+    def test_a_vocabulary_mismatch_inside_a_batch(self):
+        den = MarkovDenoiser(sticky_chain(4, 0.9))
+        good, other = MaskedSequence((1, 4), 1, Vocabulary(4)), MaskedSequence((1, 5), 1, Vocabulary(5))
+        assert "vocabulary mismatch" in self._raises_like_query(den, [good, other], other)

@@ -21,8 +21,11 @@ def test_the_kept_layout_is_the_row_before_the_context_columns():
         wide, narrow = kept.query(seq), dropped.query(seq)
         assert wide.dists.tobytes() == narrow.dists.tobytes()
         assert wide.features.tobytes() == np.concatenate([narrow.dists, narrow.features], axis=1).tobytes()
-        # the layouts label the same cuts alike and differ only in the hidden column
+        # the layouts decode alike, also several prompts at once, and label the
+        # same cuts alike, differing only in the hidden column
         refs = harness.gen_data(dropped, model, 2, 8, 3, DecodeConfig(threshold=0.8), seed=1)
+        wide_refs = harness.gen_data(kept, model, 2, 8, 3, DecodeConfig(threshold=0.8), seed=1)
+        assert [r.trajectory.steps for r in wide_refs] == [r.trajectory.steps for r in refs]
         labeling = LabelingConfig(4, 8, min_pos_prob=0.0)
         a = build_dataset(refs, kept, 4, np.random.default_rng(0), labeling).columns
         b = build_dataset(refs, dropped, 4, np.random.default_rng(0), labeling).columns
