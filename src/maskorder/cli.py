@@ -186,7 +186,10 @@ def cmd_replay(args):
     mismatches = 0
     records = []
     for ref in references:
-        traj = decode(den, ref.prompt, ref.gen_len, _decode_cfg(args, ref.trajectory.meta["seed"]))
+        try:
+            traj = decode(den, ref.prompt, ref.gen_len, _decode_cfg(args, ref.trajectory.meta["seed"]))
+        except DenoiserError as exc:
+            raise DenoiserError(f"record {ref.id!r}: {exc}") from None
         records.append(SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, traj))
         if traj.steps != ref.trajectory.steps:
             mismatches += 1
@@ -200,7 +203,10 @@ def cmd_replay(args):
 def cmd_self_bleu(args):
     records = load_records(args.traj)
     samples = [final_tokens(r.trajectory) for r in records]
-    value = harness.self_bleu(samples, n_gram=args.n)
+    try:
+        value = harness.self_bleu(samples, n_gram=args.n)
+    except ValueError as exc:
+        raise ValueError(f"{args.traj}: {exc}") from None
     print(f"self-bleu-{args.n}: {value:.6f}")
 
 

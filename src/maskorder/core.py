@@ -28,6 +28,7 @@ __all__ = [
     "load_records",
     "save_records",
     "load_archive",
+    "check_members",
     "save_archive",
 ]
 
@@ -386,3 +387,17 @@ def load_archive(path) -> tuple:
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: holds a JSON {type(meta).__name__}, not an object")
     return arrays, meta
+
+
+def check_members(path, arrays: dict, members: dict, error=ValueError) -> None:
+    """`error` naming the path unless the arrays are exactly the members, a table of name -> (exact dtype, exact
+    shape), with no NaN or ±inf in a float member."""
+    if set(arrays) != set(members):
+        missing, extra = sorted(set(members) - set(arrays)), sorted(set(arrays) - set(members))
+        raise error(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(members)}: missing {missing}, extra {extra}")
+    for name, (dtype, shape) in members.items():
+        a = arrays[name]
+        if a.dtype != dtype or a.shape != shape:
+            raise error(f"{path}: column {name} has dtype {a.dtype} and shape {a.shape}, expected {dtype} and shape {shape}")
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise error(f"{path}: column {name} holds NaN or infinite values")

@@ -20,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import MaskedSequence, Vocabulary, load_archive, save_archive
+from .core import MaskedSequence, Vocabulary, check_members, load_archive, save_archive
 
 LOG_FLOOR = 1e-12  # deterministic chains produce exact zeros
 _EDGE = np.array([-1])  # an observation that is no token: the edge of a state
@@ -366,7 +366,7 @@ class TemperedDenoiser:
 class RecordingDenoiser:
     """Pass-through wrapper that keeps the output of each distinct queried
     state and on close writes them as one archive (core.save_archive):
-    `state` holds Q state hashes in query order, query q owns rows
+    `state` holds Q state hashes (<U64) in query order, query q owns rows
     offsets[q]:offsets[q+1] of `positions` (R,), `rows` (R, V) and `hidden`
     (R, F), and the meta is {"V", "F", "denoiser"}. The archive's positions
     are absolute sequence indices."""
@@ -392,7 +392,7 @@ class RecordingDenoiser:
         outs = list(self._outputs.values())
         V, F = self.vocab.size, self.feature_dim
         arrays = {
-            "state": np.array(list(self._outputs), dtype=str),
+            "state": np.array(list(self._outputs), dtype="<U64"),
             "offsets": np.cumsum([0] + [len(out.positions) for out, _ in outs], dtype=np.int64),
             "positions": np.concatenate([np.empty(0, dtype=np.int64)] + [out.positions + p for out, p in outs]),
             "rows": np.concatenate([np.empty((0, V))] + [out.dists for out, _ in outs]),
@@ -412,11 +412,11 @@ class ReplayDenoiser:
     """Serves the outputs a RecordingDenoiser archived, keyed by state hash,
     so any decode or merge analysis that revisits recorded states replays
     exactly, with generation-relative positions again. V and F come from the
-    archive's meta. Other arrays, dtypes or shapes, offsets that do not rise
-    strictly from 0 to the row count, positions out of order within a query,
-    a state recorded twice, rows that are not probability rows (NaN, ±inf or
-    negative entries, or a sum off 1 by more than position_scores' 1e-6) or
-    non-finite hidden features raise DenoiserError naming the path."""
+    archive's meta. DenoiserError naming the path when check_members rejects
+    the arrays, offsets do not rise strictly from 0 to the row count,
+    positions are out of order within a query, a state is recorded twice, a
+    row has a negative entry or sums off 1 by more than position_scores'
+    1e-6, or a query's state is not in the log."""
 
     def __init__(self, path):
         try:
@@ -426,18 +426,11 @@ class ReplayDenoiser:
         V, F = meta.get("V"), meta.get("F")
         if type(V) is not int or type(F) is not int or V < 2 or F < 1:
             raise DenoiserError(f"{path}.meta.json: lacks V >= 2 and F >= 1 as integers")
-        names = ("state", "offsets", "positions", "rows", "hidden")
-        if set(arrays) != set(names):
-            raise DenoiserError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(names)}")
-        Q, R = arrays["state"].size, arrays["positions"].size
-        shapes = [("U", (Q,)), ("i", (Q + 1,)), ("i", (R,)), ("f", (R, V)), ("f", (R, F))]
-        for name, (kind, shape) in zip(names, shapes):
-            if arrays[name].dtype.kind != kind or arrays[name].shape != shape:
-                raise DenoiserError(
-                    f"{path}: column {name} has dtype {arrays[name].dtype} and shape "
-                    f"{arrays[name].shape}, expected kind {kind!r} and shape {shape}"
-                )
-        state, offsets, positions, rows, hidden = (arrays[name] for name in names)
+        Q, R = (arrays.get(name, np.empty(0)).size for name in ("state", "positions"))
+        shapes = {"state": (Q,), "offsets": (Q + 1,), "positions": (R,), "rows": (R, V), "hidden": (R, F)}
+        dtypes = {"state": "<U64", "offsets": "int64", "positions": "int64", "rows": "float64", "hidden": "float64"}
+        check_members(path, arrays, {name: (dtypes[name], shape) for name, shape in shapes.items()}, DenoiserError)
+        state, offsets, positions, rows, hidden = (arrays[name] for name in shapes)
         if offsets[0] != 0 or offsets[-1] != R or np.any(np.diff(offsets) < 1):
             raise DenoiserError(f"{path}: offsets must rise strictly from 0 to the row count {R}")
         first = np.zeros(R + 1, dtype=bool)
@@ -446,25 +439,24 @@ class ReplayDenoiser:
             raise DenoiserError(f"{path}: positions must be nonnegative and ascending within each query")
         if np.unique(state).size != Q:
             raise DenoiserError(f"{path}: a state is recorded twice")
-        if not (np.isfinite(rows).all() and rows.min(initial=0.0) >= 0):
+        if rows.min(initial=0.0) < 0:
             raise DenoiserError(f"{path}: rows must hold finite, nonnegative probabilities")
         if np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-6:
             raise DenoiserError(f"{path}: every row must sum to 1 within 1e-6")
-        if not np.isfinite(hidden).all():
-            raise DenoiserError(f"{path}: column hidden holds NaN or infinite values")
         rows.flags.writeable = hidden.flags.writeable = False  # one set of rows serves each repeat of its state
         bounds = zip(state.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
         self._outputs = {h: (positions[a:b], rows[a:b], hidden[a:b]) for h, a, b in bounds}
+        self.path = path
         self.vocab = Vocabulary(V)
         self.feature_dim = F
         self.config_id = f"replay:{path}"
 
     def query(self, seq: MaskedSequence) -> DenoiserOutput:
         if seq.vocab != self.vocab:
-            raise DenoiserError(f"vocabulary mismatch: log V={self.vocab.size}, sequence V={seq.vocab.size}")
+            raise DenoiserError(f"{self.path}: vocabulary mismatch: log V={self.vocab.size}, sequence V={seq.vocab.size}")
         h = state_hash(seq)
         if h not in self._outputs:
-            raise DenoiserError(f"no recorded distribution for state {h}")
+            raise DenoiserError(f"{self.path}: no recorded distribution for state {h}")
         positions, rows, hidden = self._outputs[h]
         positions = positions - seq.prompt_len
         positions.flags.writeable = False

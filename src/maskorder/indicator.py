@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import load_archive, save_archive
+from .core import check_members, load_archive, save_archive
 
 __all__ = [
     "IndicatorConfig",
@@ -376,10 +376,10 @@ def save_checkpoint(model: IndicatorModel, path) -> None:
 
 def load_checkpoint(path, expected_vocab_size=None, expected_feature_dim=None) -> IndicatorModel:
     """Read a checkpoint; CheckpointError naming the path when load_archive
-    fails, the meta is not an IndicatorConfig of ints, the parameters
-    (names, shapes, float64), expected_vocab_size or expected_feature_dim
-    (the denoiser's) disagree with it, or a parameter holds NaN or ±inf,
-    which would score NaN on every row and so never open NI's gate."""
+    fails, the meta is not an IndicatorConfig of ints, expected_vocab_size or
+    expected_feature_dim (the denoiser's) disagree with it, or check_members
+    rejects the float64 parameters, as a NaN one, which would score NaN on
+    every row and so never open NI's gate."""
     try:
         params, meta = load_archive(path)
     except ValueError as exc:
@@ -389,18 +389,13 @@ def load_checkpoint(path, expected_vocab_size=None, expected_feature_dim=None) -
         raise CheckpointError(f"{path}.meta.json: expected integer values for exactly {names}, got {meta}")
     try:
         cfg = IndicatorConfig(**meta)
-        if expected_vocab_size not in (None, cfg.vocab_size):
-            raise ValueError(f"vocabulary size {cfg.vocab_size} does not match expected {expected_vocab_size}")
-        if expected_feature_dim not in (None, cfg.feature_dim):
-            raise ValueError(
-                f"feature dimension {cfg.feature_dim} does not match the denoiser's {expected_feature_dim}"
-            )
-        wrong = [name for name, a in params.items() if a.dtype != np.float64]
-        if wrong:
-            raise ValueError(f"parameters {wrong} are not float64")
-        wrong = [name for name, a in params.items() if not np.isfinite(a).all()]
-        if wrong:
-            raise ValueError(f"parameters {wrong} hold NaN or infinite values")
-        return IndicatorModel(cfg, params)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    if expected_vocab_size not in (None, cfg.vocab_size):
+        raise CheckpointError(f"{path}: vocabulary size {cfg.vocab_size} does not match expected {expected_vocab_size}")
+    if expected_feature_dim not in (None, cfg.feature_dim):
+        raise CheckpointError(
+            f"{path}: feature dimension {cfg.feature_dim} does not match the denoiser's {expected_feature_dim}"
+        )
+    check_members(path, params, {name: ("float64", shape) for name, shape in _param_shapes(cfg).items()}, CheckpointError)
+    return IndicatorModel(cfg, params)

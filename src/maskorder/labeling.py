@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleRecord, apply_steps, load_archive, save_archive
+from .core import SampleRecord, apply_steps, check_members, load_archive, save_archive
 from .denoiser import extract_features
 from .merge import count_mergeable
 
@@ -115,23 +115,18 @@ def label_state(record: SampleRecord, k: int, denoiser, cfg: LabelingConfig) -> 
     one-record dataset of the cut's columns in the dtypes of _COLUMNS: its
     config is build_dataset's over [record], so every traj_id index is 0.
 
-    ValueError naming the record and k when the denoiser's answer at the
-    cut's state does not hold exactly the cut's masked positions.
+    ValueError naming the record and k when count_mergeable rejects the cut,
+    as when the denoiser's answer is not exactly the cut's masked positions.
     """
     traj = record.trajectory
     if not 1 <= k <= traj.n:
         raise ValueError(f"cut index {k} out of range 1..{traj.n}")
     state = apply_steps(record.base(), traj, k)
     out = denoiser.query(state)
-    # the state's masked positions, which count_mergeable checks are those
-    # with k <= step_of
-    masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)
-    if not np.array_equal(out.positions, masked):
-        raise ValueError(
-            f"record {record.id!r}, cut {k}: the denoiser answered {len(out.positions)} positions, "
-            f"not exactly the cut's {len(masked)} masked positions"
-        )
-    idx = count_mergeable(traj, k, state, out)
+    try:
+        idx = count_mergeable(traj, k, state, out)
+    except ValueError as exc:
+        raise ValueError(f"record {record.id!r}, cut {k}: {exc}") from None
     mergeable = (k <= traj.step_of) & (traj.step_of < idx)
     features = extract_features(out, slice(None), cfg.k1, cfg.k2)
     top1 = out.dists.max(axis=1)
@@ -193,15 +188,13 @@ def save_dataset(ds: DatasetFile, path) -> None:
 def load_dataset(path) -> DatasetFile:
     """Read a dataset written by save_dataset and check it against its meta file.
 
-    Raises ValueError naming the path when load_archive does, K1/K2/F/V are
-    not positive integers, K1 or K2 exceeds V, traj_ids is not a list of
-    strings, the arrays are not exactly the columns, a column's dtype is not
-    exactly its _COLUMNS dtype or a shape disagrees, a token id lies outside
-    [0, V), a label outside {0, 1}, a traj_id outside [0, len(traj_ids)), a
-    cut k below 1, a position below 0, top_logits, hidden or top1_prob holds
-    NaN or ±inf, or a top-1 probability lies outside [0, 1]. So a dataset in
-    an older layout (int64 columns and the ids in a string column) is
-    rejected: relabel it.
+    ValueError naming the path when load_archive or check_members (against
+    _COLUMNS) rejects it, K1/K2/F/V are not positive integers, K1 or K2
+    exceeds V, traj_ids is not a list of strings, the dataset is empty, a
+    token id lies outside [0, V), a label outside {0, 1}, a traj_id outside
+    [0, len(traj_ids)), a cut k below 1, a position below 0, or a top-1
+    probability outside [0, 1]. So an older layout (int64 columns, ids in a
+    string column) is rejected: relabel it.
     """
     arrays, config = load_archive(path)
     bad = [key for key in ("K1", "K2", "F", "V") if type(config.get(key)) is not int or config[key] < 1]
@@ -212,16 +205,11 @@ def load_dataset(path) -> DatasetFile:
     traj_ids = config.get("traj_ids")
     if not (isinstance(traj_ids, list) and all(isinstance(i, str) for i in traj_ids)):
         raise ValueError(f"{path}.meta.json lacks traj_ids as a list of strings")
-    if set(arrays) != set(_COLUMNS):
-        raise ValueError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(_COLUMNS)}")
-    n = arrays["label"].size
-    for name, (dtype, width) in _COLUMNS.items():
-        a = arrays[name]
-        shape = (n,) if width is None else (n, config[width])
-        if a.dtype != dtype or a.shape != shape:
-            raise ValueError(
-                f"{path}: column {name} has dtype {a.dtype} and shape {a.shape}, expected {dtype} and shape {shape}"
-            )
+    n = arrays.get("label", np.empty(0)).size
+    members = {name: (dtype, (n,) if width is None else (n, config[width])) for name, (dtype, width) in _COLUMNS.items()}
+    check_members(path, arrays, members)
+    if not n:
+        raise ValueError(f"{path}: the dataset holds no examples")  # build_dataset never writes one
     tokens = arrays["top_tokens"]
     if np.any((tokens < 0) | (tokens >= config["V"])):
         raise ValueError(f"{path}: token ids must lie in [0, {config['V']})")
@@ -233,9 +221,6 @@ def load_dataset(path) -> DatasetFile:
         raise ValueError(f"{path}: cut indices k must be at least 1")
     if np.any(arrays["pos"] < 0):
         raise ValueError(f"{path}: positions must not be negative")
-    for name in ("top_logits", "hidden", "top1_prob"):
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{path}: column {name} holds NaN or infinite values")
     if np.any((arrays["top1_prob"] < 0) | (arrays["top1_prob"] > 1)):
         raise ValueError(f"{path}: top-1 probabilities must lie in [0, 1]")
     return DatasetFile({name: arrays[name] for name in _COLUMNS}, config)

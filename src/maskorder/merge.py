@@ -9,6 +9,7 @@ argmax matches the pre-obtained final output.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 from .core import MaskedSequence, Trajectory
 from .orders import run_steps
 
-__all__ = ["MergeReport", "count_mergeable", "merge_trajectory", "final_results_preserving"]
+__all__ = ["MergeReport", "check_answer", "count_mergeable", "merge_trajectory", "final_results_preserving"]
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,22 @@ def _check_length(traj: Trajectory, gen_len: int) -> None:
         raise ValueError(f"the reference reveals {len(traj.finals)} positions, the base has {gen_len}")
 
 
+def check_answer(state: MaskedSequence, out, step: int) -> None:
+    """ValueError naming the step unless out, the denoiser's answer at state, holds exactly its masked positions."""
+    masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)
+    if not np.array_equal(out.positions, masked):
+        raise ValueError(
+            f"step {step}: the denoiser answered {len(out.positions)} positions, "
+            f"not exactly the state's {len(masked)} masked positions"
+        )
+
+
 def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> int:
     """Smallest step index idx > k whose tokens are not all argmax-predicted
     at the fixed state_k, or n+1 when every later step already matches.
 
     All lookahead checks use out, the denoiser's answer at state_k. ValueError
-    when state_k is not the reference's state before step k.
+    when state_k is not the reference's state before step k or out not its answer.
     """
     if not 1 <= k <= traj.n:
         raise ValueError(f"step index {k} out of range 1..{traj.n}")
@@ -52,6 +63,7 @@ def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> i
             f"state_k inconsistent with trajectory prefix at position {pos}: "
             f"have {have[pos]}, expected {expected[pos]}"
         )
+    check_answer(state_k, out, k)
     predicted = np.full(state_k.gen_len, -1)
     predicted[out.positions] = out.dists.argmax(axis=1)
     return int(traj.step_of[(traj.step_of > k) & (predicted != traj.finals)].min(initial=traj.n + 1))
@@ -92,8 +104,10 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     construction; only the step structure differs.
     """
     _check_length(traj, base.gen_len)
+    step = itertools.count(1)
 
     def choose(out, state):
+        check_answer(state, out, next(step))
         tokens = traj.finals[out.positions]
         rows = out.dists.argmax(axis=1) == tokens
         if not rows.any():  # the first masked row of the earliest reference step; positions ascend

@@ -53,6 +53,18 @@ def permutation_chain(V: int) -> MarkovModel:
     return MarkovModel(np.full(V, 1.0 / V), T)
 
 
+def cycle_chain(V: int, eps: float, seed: int) -> MarkovModel:
+    """A noisy single V-cycle: with probability 1 - eps each token steps to
+    its successor along one random cyclic order of the vocabulary, and with
+    probability eps to a token drawn from its own Dirichlet(1) row; uniform
+    initial distribution. permutation_chain is eps = 0 with the identity order."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(V)
+    cycle = np.zeros((V, V))
+    cycle[perm, np.roll(perm, -1)] = 1.0
+    return MarkovModel(np.full(V, 1.0 / V), (1 - eps) * cycle + eps * rng.dirichlet(np.ones(V), size=V))
+
+
 def brute_force_posterior(model: MarkovModel, seq: MaskedSequence) -> dict:
     """Posterior marginals by enumerating every completion of the masked slots."""
     V = model.V

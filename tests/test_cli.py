@@ -95,6 +95,21 @@ class TestPipeline:
         assert "self-bleu-1:" in out
 
 
+class TestSelfBleuCommand:
+    @pytest.mark.parametrize(
+        "records, n, message",
+        [(1, 1, "self-BLEU needs at least two samples"), (2, 2, "sample shorter than the n-gram order")],
+        ids=["one-record", "shorter-than-n"],
+    )
+    def test_an_input_it_cannot_score_names_the_file(self, tmp_path, capsys, records, n, message):
+        vocab = Vocabulary(4)
+        path = tmp_path / "traj.jsonl"
+        traj = Trajectory((frozenset({(0, 1)}),))
+        save_records([SampleRecord(f"r{i}", vocab, (0,), 1, traj) for i in range(records)], path)
+        err = _input_error(capsys, "self-bleu", "--traj", str(path), "--n", str(n))
+        assert re.search(rf"traj\.jsonl: {message}$", err)
+
+
 class TestReplayCommand:
     def _log_and_records(self, tmp_path):
         den = MarkovDenoiser(sticky_chain(4, 0.85))
@@ -135,6 +150,14 @@ class TestReplayCommand:
         err = _input_error(capsys, "replay", "--log", str(log), "--traj", str(path), "--out", str(out))
         assert re.search(r"record 'r1' has vocab_size 5, the log .*dist\.npz has V=4", err)
         assert not out.exists()
+
+    def test_a_replay_that_leaves_the_log_names_the_log_and_the_record(self, tmp_path, capsys):
+        log, path, records = self._log_and_records(tmp_path)
+        ref = records[1]
+        records[1] = SampleRecord(ref.id, ref.vocab, (3,), ref.gen_len, ref.trajectory)  # a prompt never recorded
+        save_records(records, path)
+        err = _input_error(capsys, "replay", "--log", str(log), "--traj", str(path))
+        assert re.search(r"record 'r1': .*dist\.npz: no recorded distribution for state [0-9a-f]{64}$", err)
 
     def test_malformed_log_names_the_file(self, tmp_path, capsys):
         _, path, _ = self._log_and_records(tmp_path)

@@ -13,6 +13,7 @@ from maskorder.core import (
     Trajectory,
     Vocabulary,
     apply_steps,
+    check_members,
     final_tokens,
     load_archive,
     load_records,
@@ -445,3 +446,37 @@ class TestArchive:
         (saved.parent / "thing.bin.meta.json").write_text(json.dumps(value))
         with pytest.raises(ValueError, match=r"thing\.bin\.meta\.json: holds a JSON \w+, not an object"):
             load_archive(saved)
+
+
+class TestCheckMembers:
+    MEMBERS = {"a": (np.dtype(np.int64), (2, 3)), "b": (np.dtype(np.float64), (2,)), "c": (np.dtype("<U2"), (2,))}
+
+    def test_the_arrays_save_archive_wrote_pass(self, tmp_path):
+        path = tmp_path / "thing.bin"
+        save_archive(path, TestArchive.ARRAYS, {})
+        check_members(path, load_archive(path)[0], self.MEMBERS)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("b"), r"holds arrays \['a', 'c'\], expected \['a', 'b', 'c'\]: missing \['b'\], extra \[\]"),
+            (lambda a: a.update(d=a["b"]), r"holds arrays .*: missing \[\], extra \['d'\]"),
+            (lambda a: a.update(a=a["a"].astype(np.int32)), r"column a has dtype int32 and shape \(2, 3\), expected int64"),
+            (lambda a: a.update(b=a["b"].astype(">f8")), r"column b has dtype >f8"),
+            (lambda a: a.update(c=np.array(["x", "yzw"])), r"column c has dtype <U3"),
+            (lambda a: a.update(a=a["a"].T), r"column a has dtype int64 and shape \(3, 2\), expected int64 and shape \(2, 3\)"),
+            (lambda a: a.update(b=np.array([0.5, np.nan])), "column b holds NaN or infinite values"),
+            (lambda a: a.update(b=np.array([-np.inf, 1.0])), "column b holds NaN or infinite values"),
+        ],
+        ids=["missing", "extra", "dtype", "byte-order", "string-width", "shape", "nan", "infinite"],
+    )
+    def test_each_departure_raises_the_callers_error_naming_the_path(self, edit, message):
+        class ReaderError(Exception):
+            pass
+
+        arrays = dict(TestArchive.ARRAYS)
+        edit(arrays)
+        with pytest.raises(ReaderError, match=rf"^thing\.bin: {message}"):
+            check_members("thing.bin", arrays, self.MEMBERS, ReaderError)
+        with pytest.raises(ValueError, match=rf"^thing\.bin: {message}"):
+            check_members("thing.bin", arrays, self.MEMBERS)

@@ -677,6 +677,23 @@ class TestReplay:
         assert meta == {"V": 4, "F": 3, "denoiser": "markov"}
         assert once.read_bytes() == twice.read_bytes()
 
+    def test_an_empty_log_round_trips(self, tmp_path):
+        log = tmp_path / "log.npz"
+        with RecordingDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), log):
+            pass
+        arrays, meta = load_archive(log)
+        # the dtypes of every log it writes, which ReplayDenoiser requires exactly
+        assert {name: (a.dtype, a.shape) for name, a in arrays.items()} == {
+            "state": ("<U64", (0,)),
+            "offsets": (np.int64, (1,)),
+            "positions": (np.int64, (0,)),
+            "rows": (np.float64, (0, 4)),
+            "hidden": (np.float64, (0, 3)),
+        }
+        replay = ReplayDenoiser(log)
+        with pytest.raises(DenoiserError, match=r"log\.npz: no recorded distribution for state"):
+            replay.query(MaskedSequence((1, 4), 1, Vocabulary(4)))
+
     def test_unknown_state_is_an_error(self, tmp_path):
         log = tmp_path / "empty.npz"
         RecordingDenoiser(MarkovDenoiser(sticky_chain(4, 0.9)), log).close()
@@ -732,16 +749,21 @@ class TestReplay:
             (_swap_first_positions, "positions must be nonnegative and ascending"),
             (lambda a, m: a["positions"].__setitem__(0, -1), "positions must be nonnegative and ascending"),
             (lambda a, m: a["state"].__setitem__(1, a["state"][0]), "a state is recorded twice"),
-            (lambda a, m: a["rows"].__setitem__(-1, np.nan), "rows must hold finite, nonnegative probabilities"),
+            (lambda a, m: a["rows"].__setitem__(-1, np.nan), "column rows holds NaN or infinite values"),
             (lambda a, m: a["rows"].__setitem__(0, [-0.5, 1.5, 0, 0]), "rows must hold finite, nonnegative"),
             (lambda a, m: a["rows"].__setitem__(0, a["rows"][0] * (1 + 2e-6)), "every row must sum to 1 within 1e-6"),
             (lambda a, m: a["hidden"].__setitem__((1, 2), np.inf), "column hidden holds NaN or infinite values"),
+            (lambda a, m: a.update(rows=a["rows"].astype(np.float32)), "column rows has dtype float32"),
+            (lambda a, m: a.update(hidden=a["hidden"].astype(np.float16)), "column hidden has dtype float16"),
+            (lambda a, m: a.update(positions=a["positions"].astype(np.int16)), "column positions has dtype int16"),
+            (lambda a, m: a.update(offsets=a["offsets"].astype(np.int32)), "column offsets has dtype int32"),
         ],
         ids=[
             "meta-without-V", "float-F", "missing-column", "extra-column", "int-state", "float-positions",
             "string-rows", "rows-wider-than-V", "hidden-narrower-than-F", "short-offsets",
             "offsets-not-from-zero", "empty-query", "unsorted-positions", "negative-position", "duplicate-state",
-            "nan-rows", "negative-probability", "row-sum-off-one", "infinite-hidden",
+            "nan-rows", "negative-probability", "row-sum-off-one", "infinite-hidden", "float32-rows",
+            "float16-hidden", "int16-positions", "int32-offsets",
         ],
     )
     def test_inconsistent_archive_names_the_file(self, log, change, message):

@@ -107,7 +107,7 @@ class TestLabelState:
 
         k = record.trajectory.n // 2
         masked = int(np.count_nonzero(record.trajectory.step_of >= k))
-        message = rf"record 'inst-6', cut {k}: .* {masked - 1} positions, not exactly the cut's {masked} masked"
+        message = rf"record 'inst-6', cut {k}: .* {masked - 1} positions, not exactly the state's {masked} masked"
         with pytest.raises(ValueError, match=message):
             label_state(record, k, DropsLastRow(), CFG)
         with pytest.raises(ValueError, match=r"record 'inst-6', cut 1: "):
@@ -118,7 +118,7 @@ class TestLabelState:
                 out = den.query(state)
                 return DenoiserOutput(out.positions + 1, out.dists, out.features)  # the last one past the region
 
-        with pytest.raises(ValueError, match=r"cut 1: .* 64 positions, not exactly the cut's 64 masked"):
+        with pytest.raises(ValueError, match=r"cut 1: .* 64 positions, not exactly the state's 64 masked"):
             label_state(record, 1, ShiftsPositions(), CFG)
 
     def test_examples_cover_exactly_the_masked_positions(self):
@@ -533,6 +533,15 @@ class TestLoadValidation:
             return a
 
         return edit
+
+    def test_an_empty_dataset_names_its_file(self, saved):
+        # build_dataset never writes one, and train could only say "dataset is empty"
+        with np.load(saved) as npz:
+            arrays = {name: a[:0] for name, a in npz.items()}
+        with open(saved, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=r"train\.npz: the dataset holds no examples"):
+            load_dataset(saved)
 
     def test_negative_token_id(self, saved):
         self.tamper(saved, "top_tokens", self.set_entry((0, 0), -1))

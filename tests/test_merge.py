@@ -22,6 +22,7 @@ from maskorder.core import (
     validate_partition,
 )
 from maskorder.denoiser import DenoiserOutput, MarkovDenoiser, TemperedDenoiser
+from maskorder.labeling import LabelingConfig, label_state
 from maskorder.merge import count_mergeable, final_results_preserving, merge_trajectory
 from maskorder.orders import RULES, DecodeConfig, decode
 
@@ -215,6 +216,39 @@ def test_a_base_of_another_length_is_an_error(analysis):
     for gen_len in (3, 6):
         with pytest.raises(ValueError, match=f"the reference reveals 4 positions, the base has {gen_len}"):
             analysis(traj, MaskedSequence.fully_masked((1,), gen_len, den.vocab), den)
+
+
+class BentAnswers:
+    """A denoiser whose every answer departs from its state's masked positions through bend(out)."""
+
+    def __init__(self, inner, bend):
+        self.inner, self.bend = inner, bend
+        self.vocab, self.feature_dim, self.config_id = inner.vocab, inner.feature_dim, "bent"
+
+    def query(self, seq):
+        return self.bend(self.inner.query(seq))
+
+
+BENDS = {
+    "drops-last-row": lambda out: DenoiserOutput(out.positions[:-1], out.dists[:-1], out.features[:-1]),
+    "shifts-positions": lambda out: DenoiserOutput(out.positions + 1, out.dists, out.features),  # the last past the region
+}
+
+
+@pytest.mark.parametrize("bend", BENDS.values(), ids=BENDS)
+def test_every_reference_analysis_rejects_an_answer_off_the_masked_positions(bend):
+    # merge.check_answer, which count_mergeable and the final-preserving policy call
+    den, record = make_instance(6)
+    traj, bent = record.trajectory, BentAnswers(den, bend)
+    answered = "the denoiser answered (63|64) positions, not exactly the state's 64 masked positions"
+    for analysis in (merge_trajectory, final_results_preserving):
+        with pytest.raises(ValueError, match=rf"^step 1: {answered}$"):
+            analysis(traj, record.base(), bent)
+    # labeling reads the answer through count_mergeable, and names the record and the cut too
+    k = traj.n // 2
+    masked = int(np.count_nonzero(traj.step_of >= k))
+    with pytest.raises(ValueError, match=rf"^record 'inst-6', cut {k}: step {k}: .* the state's {masked} masked"):
+        label_state(record, k, bent, LabelingConfig())
 
 
 class TestMinimumSteps:
