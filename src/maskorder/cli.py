@@ -5,9 +5,11 @@ self-bleu. `analyze-merge` is the CLI's merge oracle: it reports each
 reference trajectory's merged step count, and `merge.merge_trajectory`
 returns the merged trajectories themselves. A JSON object passed via
 --config supplies checked defaults for any long option of the chosen
-subcommand (command-line flags win). Decoding is random (categorical
-sampling) exactly when --temperature is given. A malformed or missing input
-file ends the command with exit 1 and one error line naming the file.
+subcommand (command-line flags win). `gen-data` is the baseline decode,
+`sample` the indicator-gated one, and `replay` re-decodes each record with
+the sampler the record names. Decoding is random (categorical sampling)
+exactly when --temperature is given. A malformed or missing input file ends
+the command with exit 1 and one error line naming the file.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def _load_references(path, vocab, source):
     return records
 
 
-def _decode_cfg(args, seed):
-    """The decode of every command: full-step for --sampler full, else
+def _decode_cfg(args, sampler, seed):
+    """The decode of every command: full-step for sampler "full", else
     threshold mode at --epsilon (NI's base sampler included)."""
-    threshold = None if args.sampler == "full" else args.epsilon
+    threshold = None if sampler == "full" else args.epsilon
     return DecodeConfig(rule=args.rule, threshold=threshold, temperature=getattr(args, "temperature", None), seed=seed)
 
 
@@ -114,11 +116,11 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
-    """`sample`, and `gen-data`, whose samplers are `sample`'s full and threshold."""
+    """`gen-data`, the baseline decode, and `sample`, the indicator-gated one over the threshold base."""
     model, den = _build_denoiser(args)
-    cfg = _decode_cfg(args, args.seed)
+    cfg = _decode_cfg(args, "threshold" if args.command == "sample" else args.sampler, args.seed)
     indicator = ni_cfg = None
-    if args.sampler == "ni":
+    if args.command == "sample":
         indicator = load_checkpoint(args.ckpt, den.vocab.size, den.feature_dim)
         ni_cfg = NIConfig(base=cfg, eps_phi=args.eps_phi)
     records = harness.gen_data(
@@ -183,11 +185,15 @@ def cmd_sweep(args):
 def cmd_replay(args):
     den = ReplayDenoiser(args.log)
     references = _load_references(args.traj, den.vocab, f"the log {args.log}")
+    for ref in references:  # every record is checked before any is decoded
+        if (sampler := ref.trajectory.meta["sampler"]) not in ("full", "threshold"):
+            raise ValueError(f"{args.traj}: record {ref.id!r} has sampler {sampler!r}, not full or threshold")
     mismatches = 0
     records = []
     for ref in references:
+        cfg = _decode_cfg(args, ref.trajectory.meta["sampler"], ref.trajectory.meta["seed"])
         try:
-            traj = decode(den, ref.prompt, ref.gen_len, _decode_cfg(args, ref.trajectory.meta["seed"]))
+            traj = decode(den, ref.prompt, ref.gen_len, cfg)
         except DenoiserError as exc:
             raise DenoiserError(f"record {ref.id!r}: {exc}") from None
         records.append(SampleRecord(ref.id, ref.vocab, ref.prompt, ref.gen_len, traj))
@@ -255,17 +261,16 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", help="decode with a chosen sampler")
+    p = sub.add_parser("sample", help="decode with the indicator gate over the threshold sampler")
     _add_denoiser_args(p)
     common(p)
-    p.add_argument("--sampler", choices=["full", "threshold", "ni"], required=True)
     p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.9)
     p.add_argument("--temperature", type=float, default=None, help="sample tokens (random mode)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--prompt-len", type=int, default=8)
     p.add_argument("--gen-len", type=int, default=32)
-    p.add_argument("--ckpt", help="indicator checkpoint (sampler=ni)")
+    p.add_argument("--ckpt", help="indicator checkpoint (required)")
     p.add_argument("--eps-phi", type=float, default=NIConfig.eps_phi)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -292,7 +297,6 @@ def build_parser():
     p = sub.add_parser("replay", help="re-decode trajectories from a recorded replay archive")
     p.add_argument("--log", required=True, help="archive written by denoiser.RecordingDenoiser")
     p.add_argument("--traj", required=True)
-    p.add_argument("--sampler", choices=["full", "threshold"], default="threshold")
     p.add_argument("--rule", choices=RULES, default=DecodeConfig.rule)
     p.add_argument("--epsilon", type=float, default=0.8)
     p.add_argument("--out")
@@ -368,8 +372,8 @@ def _check(parser, args) -> None:
                 config(**{name: getattr(args, dest)})
             except ValueError as exc:
                 parser.error(f"invalid value {getattr(args, dest)} for --{dest.replace('_', '-')}: {exc}")
-    if args.command == "sample" and args.sampler == "ni" and not args.ckpt:
-        parser.error("--sampler ni requires --ckpt")
+    if args.command == "sample" and not args.ckpt:
+        parser.error("sample requires --ckpt")
 
 
 def main(argv=None):

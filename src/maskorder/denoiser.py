@@ -33,6 +33,7 @@ __all__ = [
     "TemperedDenoiser",
     "ReplayDenoiser",
     "RecordingDenoiser",
+    "check_answer",
     "markov_posterior",
     "temper",
     "extract_features",
@@ -168,6 +169,16 @@ class DenoiserOutput:
     positions: np.ndarray  # (n_masked,) read-only int64 generation-relative positions, ascending
     dists: np.ndarray  # (n_masked, V)
     features: np.ndarray  # (n_masked, F), read-only
+
+
+def check_answer(state: MaskedSequence, out: DenoiserOutput, where: str, error=ValueError) -> None:
+    """`error` prefixed by `where` unless out, a denoiser's answer at state, holds exactly its masked positions."""
+    masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)
+    if not np.array_equal(out.positions, masked):
+        raise error(
+            f"{where}: the denoiser answered {len(out.positions)} positions, "
+            f"not exactly the state's {len(masked)} masked positions"
+        )
 
 
 @dataclass(frozen=True)
@@ -416,7 +427,8 @@ class ReplayDenoiser:
     the arrays, offsets do not rise strictly from 0 to the row count,
     positions are out of order within a query, a state is recorded twice, a
     row has a negative entry or sums off 1 by more than position_scores'
-    1e-6, or a query's state is not in the log."""
+    1e-6, or a query's state is not in the log or its recorded answer does
+    not hold exactly the state's masked positions."""
 
     def __init__(self, path):
         try:
@@ -460,7 +472,9 @@ class ReplayDenoiser:
         positions, rows, hidden = self._outputs[h]
         positions = positions - seq.prompt_len
         positions.flags.writeable = False
-        return DenoiserOutput(positions, rows, hidden)
+        out = DenoiserOutput(positions, rows, hidden)
+        check_answer(seq, out, f"{self.path}: state {h}", DenoiserError)
+        return out
 
     def query_many(self, seqs) -> list:
         return [self.query(seq) for seq in seqs]

@@ -85,13 +85,16 @@ def gen_data(
 ) -> list:
     """Decode `count` freshly sampled prompts and return their records.
 
-    With ni_cfg the decode is indicator-gated and cfg is unused. Each record
-    gets its own derived decode seed so random-mode runs are reproducible
-    prompt by prompt. Two or more baseline prompts go through decode_many, a
-    group at a time, which gives the trajectories decode gives each alone.
+    With ni_cfg the decode is indicator-gated and cfg is unused; ValueError
+    when ni_cfg comes without an indicator. Each record gets its own derived
+    decode seed so random-mode runs are reproducible prompt by prompt. Two or
+    more baseline prompts go through decode_many, a group at a time, which
+    gives the trajectories decode gives each alone.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if ni_cfg is not None and indicator is None:
+        raise ValueError("ni_cfg needs an indicator")
     prompts = sample_prompts(prompt_model, prompt_len, count, seed)
     seeds = range(seed * 100003, seed * 100003 + count)
     if ni_cfg is not None:

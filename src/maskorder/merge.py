@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .core import MaskedSequence, Trajectory
+from .denoiser import check_answer
 from .orders import run_steps
 
-__all__ = ["MergeReport", "check_answer", "count_mergeable", "merge_trajectory", "final_results_preserving"]
+__all__ = ["MergeReport", "count_mergeable", "merge_trajectory", "final_results_preserving"]
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,6 @@ class MergeReport:
 def _check_length(traj: Trajectory, gen_len: int) -> None:
     if len(traj.finals) != gen_len:
         raise ValueError(f"the reference reveals {len(traj.finals)} positions, the base has {gen_len}")
-
-
-def check_answer(state: MaskedSequence, out, step: int) -> None:
-    """ValueError naming the step unless out, the denoiser's answer at state, holds exactly its masked positions."""
-    masked = np.flatnonzero(state.token_array[state.prompt_len :] == state.vocab.mask_id)
-    if not np.array_equal(out.positions, masked):
-        raise ValueError(
-            f"step {step}: the denoiser answered {len(out.positions)} positions, "
-            f"not exactly the state's {len(masked)} masked positions"
-        )
 
 
 def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> int:
@@ -63,7 +54,7 @@ def count_mergeable(traj: Trajectory, k: int, state_k: MaskedSequence, out) -> i
             f"state_k inconsistent with trajectory prefix at position {pos}: "
             f"have {have[pos]}, expected {expected[pos]}"
         )
-    check_answer(state_k, out, k)
+    check_answer(state_k, out, f"step {k}")
     predicted = np.full(state_k.gen_len, -1)
     predicted[out.positions] = out.dists.argmax(axis=1)
     return int(traj.step_of[(traj.step_of > k) & (predicted != traj.finals)].min(initial=traj.n + 1))
@@ -107,7 +98,7 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     step = itertools.count(1)
 
     def choose(out, state):
-        check_answer(state, out, next(step))
+        check_answer(state, out, f"step {next(step)}")
         tokens = traj.finals[out.positions]
         rows = out.dists.argmax(axis=1) == tokens
         if not rows.any():  # the first masked row of the earliest reference step; positions ascend

@@ -9,7 +9,16 @@ import pytest
 from conftest import sticky_chain
 from maskorder import harness
 from maskorder.cli import _check, build_parser, main
-from maskorder.core import SampleRecord, Trajectory, Vocabulary, final_tokens, load_records, save_records
+from maskorder.core import (
+    SampleRecord,
+    Trajectory,
+    Vocabulary,
+    final_tokens,
+    load_archive,
+    load_records,
+    save_archive,
+    save_records,
+)
 from maskorder.denoiser import MarkovDenoiser, RecordingDenoiser, TemperedDenoiser
 from maskorder.indicator import IndicatorConfig, IndicatorModel, load_checkpoint, save_checkpoint
 from maskorder.labeling import load_dataset
@@ -62,7 +71,7 @@ class TestPipeline:
 
         ni_out = tmp_path / "ni.jsonl"
         run(
-            "sample", "--denoiser", chain_file, "--sampler", "ni", "--ckpt", str(ckpt),
+            "sample", "--denoiser", chain_file, "--ckpt", str(ckpt),
             "--count", "3", "--prompt-len", "2", "--gen-len", "12", "--out", str(ni_out),
         )
         assert len(load_records(ni_out)) == 3
@@ -110,6 +119,17 @@ class TestSelfBleuCommand:
         assert re.search(rf"traj\.jsonl: {message}$", err)
 
 
+def _drop_the_last_row_of_the_first_answer(arrays):
+    end = arrays["offsets"][1]
+    for name in ("positions", "rows", "hidden"):
+        arrays[name] = np.delete(arrays[name], end - 1, axis=0)
+    arrays["offsets"][1:] -= 1
+
+
+def _shift_the_first_answer(arrays):
+    arrays["positions"][: arrays["offsets"][1]] += 1
+
+
 class TestReplayCommand:
     def _log_and_records(self, tmp_path):
         den = MarkovDenoiser(sticky_chain(4, 0.85))
@@ -127,6 +147,43 @@ class TestReplayCommand:
         log, path, _ = self._log_and_records(tmp_path)
         run("replay", "--log", str(log), "--traj", str(path))
         assert "0 differ" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rule", ["prob", "margin"])
+    def test_full_step_records_replay_full_step_without_a_flag(self, tmp_path, capsys, rule):
+        model = sticky_chain(4, 0.94)
+        log, path = tmp_path / "dist.npz", tmp_path / "traj.jsonl"
+        with RecordingDenoiser(MarkovDenoiser(model), log) as rec_den:  # what `gen-data --sampler full` decodes
+            save_records(harness.gen_data(rec_den, model, 2, 8, 3, DecodeConfig(rule=rule), seed=0), path)
+        run("replay", "--log", str(log), "--traj", str(path), "--rule", rule)
+        assert "replayed 3 trajectories; 0 differ" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sampler", ["ni", "merge(threshold)", ""], ids=["ni", "merge", "external"])
+    def test_a_record_of_another_sampler_is_rejected_before_any_is_decoded(self, tmp_path, capsys, sampler):
+        log, path, records = self._log_and_records(tmp_path)
+        first, last = records[0], records[2]
+        records[0] = SampleRecord(first.id, first.vocab, (3,), first.gen_len, first.trajectory)  # would leave the log
+        meta = {**last.trajectory.meta, "sampler": sampler}
+        records[2] = SampleRecord(last.id, last.vocab, last.prompt, last.gen_len, Trajectory(last.trajectory.steps, meta))
+        save_records(records, path)
+        out = tmp_path / "out.jsonl"
+        err = _input_error(capsys, "replay", "--log", str(log), "--traj", str(path), "--out", str(out))
+        assert re.search(rf"traj\.jsonl: record 'r2' has sampler {re.escape(repr(sampler))}, not full or threshold$", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, answered",
+        [(_drop_the_last_row_of_the_first_answer, 5), (_shift_the_first_answer, 6)],
+        ids=["drops-last-row", "shifts-positions"],
+    )
+    def test_a_log_answer_off_the_masked_positions_names_the_log_and_the_state(self, tmp_path, capsys, damage, answered):
+        log, path, _ = self._log_and_records(tmp_path)
+        arrays, meta = load_archive(log)
+        damage(arrays)  # the first recorded answer is at a state of 6 masked positions
+        save_archive(log, arrays, meta)
+        err = _input_error(capsys, "replay", "--log", str(log), "--traj", str(path))
+        state = r"state [0-9a-f]{64}"
+        message = rf"{answered} positions, not exactly the state's 6 masked positions"
+        assert re.search(rf"record 'r\d': .*dist\.npz: {state}: the denoiser answered {message}$", err)
 
     def test_mismatch_exits_nonzero(self, tmp_path):
         log, path, records = self._log_and_records(tmp_path)
@@ -176,6 +233,19 @@ class TestReplayCommand:
     )
     def test_options_that_were_never_read_are_gone(self, capsys, argv):
         assert "unrecognized arguments" in _usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--denoiser", "c", "--ckpt", "k", "--out", "o", "--sampler", "ni"),
+            ("sample", "--denoiser", "c", "--ckpt", "k", "--out", "o", "--sampler", "threshold"),
+            ("replay", "--log", "l", "--traj", "t", "--sampler", "full"),
+        ],
+        ids=["sample-ni", "sample-threshold", "replay"],
+    )
+    def test_sample_and_replay_take_no_sampler_flag(self, capsys, argv):
+        # sample is the NI decode, and replay reads each record's sampler
+        assert "unrecognized arguments: --sampler" in _usage_error(capsys, *argv)
 
 
 class TestConfigDefaults:
@@ -236,6 +306,15 @@ class TestConfigDefaults:
             "--prompt-len", "2", "--gen-len", "6", "--out", str(out),
         )
         assert len(load_records(out)) == 2
+
+    def test_sample_takes_its_checkpoint_from_the_config_file(self, tmp_path, chain_file, ckpt_file):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"ckpt": ckpt_file}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        argv = ("--denoiser", chain_file, "--count", "2", "--gen-len", "6")
+        run("--config", str(cfg), "sample", *argv, "--out", str(a))
+        run("sample", *argv, "--ckpt", ckpt_file, "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_command_is_rejected(self):
         with pytest.raises(SystemExit):
@@ -310,14 +389,14 @@ class TestConfigValidation:
         )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_a_value_is_checked_only_against_the_chosen_subcommand(self, tmp_path, chain_file):
-        # "ni" is a sampler of `sample` (not of `gen-data`), and `timings` is
-        # an option of `sweep` only, so neither value is checked here
+    def test_a_value_is_checked_only_against_the_chosen_subcommand(self, tmp_path, chain_file, ckpt_file):
+        # `sampler` is an option of `gen-data` only ("ni" is none of its
+        # choices), and `timings` of `sweep` only, so neither value is checked here
         cfg = tmp_path / "defaults.json"
         cfg.write_text(json.dumps({"sampler": "ni", "timings": "no"}))
         out = tmp_path / "a.jsonl"
         run(
-            "--config", str(cfg), "sample", "--denoiser", chain_file, "--sampler", "full",
+            "--config", str(cfg), "sample", "--denoiser", chain_file, "--ckpt", ckpt_file,
             "--count", "1", "--gen-len", "4", "--out", str(out),
         )
         assert len(load_records(out)) == 1
@@ -426,7 +505,7 @@ class TestUsageErrors:
 
     def test_ni_sampler_needs_a_checkpoint(self, tmp_path, chain_file, capsys):
         err = _usage_error(
-            capsys, "sample", "--denoiser", chain_file, "--sampler", "ni",
+            capsys, "sample", "--denoiser", chain_file,
             "--out", str(tmp_path / "a.jsonl"),
         )
         assert "--ckpt" in err
@@ -435,8 +514,8 @@ class TestUsageErrors:
         out = tmp_path / "a.jsonl"
         argv = ("sample", "--denoiser", chain_file, "--out", str(out))
         err = _usage_error(capsys, *argv, "--sampler", "merge-oracle", "--traj", str(out))
-        assert "invalid choice: 'merge-oracle'" in err
-        err = _usage_error(capsys, *argv, "--sampler", "full", "--traj", str(out))
+        assert "unrecognized arguments: --sampler merge-oracle" in err
+        err = _usage_error(capsys, *argv, "--ckpt", "c.ckpt", "--traj", str(out))
         assert "unrecognized arguments: --traj" in err
         assert not out.exists()
 
@@ -491,7 +570,7 @@ class TestUsageErrors:
         out = tmp_path / "a.jsonl"
         argv = {
             "gen-data": ("--count", "1", "--out", str(out)),
-            "sample": ("--sampler", "full", "--out", str(out)),
+            "sample": ("--ckpt", "c.ckpt", "--out", str(out)),
             "sweep": ("--ckpt", "c.ckpt", "--out", str(out), "--summary", str(tmp_path / "s.json")),
             "label": ("--traj", "t.jsonl", "--out", str(out)),
         }[command]
@@ -518,7 +597,7 @@ class TestUsageErrors:
         cfg = IndicatorConfig(vocab_size=8, k1=2, k2=3, feature_dim=feature_dim, emb_dim=4, hidden_dim=4, depth=1)
         save_checkpoint(IndicatorModel.init(cfg, np.random.default_rng(0)), ckpt)
         argv = {
-            "sample": ("--sampler", "ni", "--out", str(tmp_path / "a.jsonl")),
+            "sample": ("--out", str(tmp_path / "a.jsonl")),
             "sweep": ("--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")),
         }[command]
         err = _input_error(capsys, command, "--denoiser", chain_file, "--ckpt", str(ckpt), "--count", "1", *argv)
@@ -526,7 +605,7 @@ class TestUsageErrors:
 
     def test_sample_has_no_mode_flag(self, tmp_path, chain_file, capsys):
         err = _usage_error(
-            capsys, "sample", "--denoiser", chain_file, "--sampler", "full", "--mode", "random",
+            capsys, "sample", "--denoiser", chain_file, "--ckpt", "c.ckpt", "--mode", "random",
             "--out", str(tmp_path / "a.jsonl"),
         )
         assert "unrecognized arguments" in err
@@ -583,14 +662,14 @@ def ckpt_file(tmp_path):
 
 
 class TestNISampler:
-    """`sample --sampler ni` decodes with sample's own decode flags as its base."""
+    """`sample` decodes with its own decode flags as NI's base."""
 
     @pytest.mark.parametrize("epsilon", ["0.5", "0.9"])
     @pytest.mark.parametrize("rule", RULES)
     def test_rule_and_epsilon_set_the_base_sampler(self, tmp_path, chain_file, ckpt_file, rule, epsilon):
         out, expected = tmp_path / "ni.jsonl", tmp_path / "expected.jsonl"
         run(
-            "sample", "--denoiser", chain_file, "--dnoise", "0.5", "--sampler", "ni", "--ckpt", ckpt_file,
+            "sample", "--denoiser", chain_file, "--dnoise", "0.5", "--ckpt", ckpt_file,
             "--rule", rule, "--epsilon", epsilon, "--eps-phi", "0.6", "--count", "4", "--prompt-len", "2",
             "--gen-len", "16", "--seed", "3", "--out", str(out),
         )
@@ -604,7 +683,7 @@ class TestNISampler:
 
     def test_base_epsilon_is_gone(self, tmp_path, chain_file, ckpt_file, capsys):
         err = _usage_error(
-            capsys, "sample", "--denoiser", chain_file, "--sampler", "ni", "--ckpt", ckpt_file,
+            capsys, "sample", "--denoiser", chain_file, "--ckpt", ckpt_file,
             "--base-epsilon", "0.5", "--out", str(tmp_path / "a.jsonl"),
         )
         assert "unrecognized arguments: --base-epsilon" in err
@@ -613,13 +692,13 @@ class TestNISampler:
 class TestRandomMode:
     @pytest.mark.parametrize("sampler", ["full", "ni"])
     def test_temperature_alone_selects_random_sampling(self, tmp_path, chain_file, ckpt_file, sampler):
-        extra = ("--ckpt", ckpt_file, "--eps-phi", "0") if sampler == "ni" else ()
+        command = ("sample", "--ckpt", ckpt_file, "--eps-phi", "0") if sampler == "ni" else ("gen-data", "--sampler", "full")
         finals = []
         for temperature in ((), ("--temperature", "2.0")):
             out = tmp_path / f"{len(temperature)}.jsonl"
             run(
-                "sample", "--denoiser", chain_file, "--sampler", sampler, "--count", "6",
-                "--prompt-len", "2", "--gen-len", "12", *extra, *temperature, "--out", str(out),
+                *command, "--denoiser", chain_file, "--count", "6",
+                "--prompt-len", "2", "--gen-len", "12", *temperature, "--out", str(out),
             )
             finals.append([final_tokens(r.trajectory) for r in load_records(out)])
         assert finals[0] != finals[1]

@@ -17,6 +17,7 @@ from maskorder.harness import (
     write_sweep_csv,
 )
 from maskorder.indicator import IndicatorConfig, IndicatorModel
+from maskorder.ni_sampler import NIConfig
 from maskorder.orders import DecodeConfig
 
 
@@ -95,6 +96,10 @@ class TestGenData:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gen_data(self.den, self.model, 2, 6, 0, DecodeConfig(), seed=0)
+
+    def test_ni_cfg_without_an_indicator_is_an_error(self):
+        with pytest.raises(ValueError, match="^ni_cfg needs an indicator$"):
+            gen_data(self.den, self.model, 2, 6, 3, DecodeConfig(), seed=0, ni_cfg=NIConfig())
 
 
 class TestSweep:

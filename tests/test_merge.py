@@ -237,7 +237,7 @@ BENDS = {
 
 @pytest.mark.parametrize("bend", BENDS.values(), ids=BENDS)
 def test_every_reference_analysis_rejects_an_answer_off_the_masked_positions(bend):
-    # merge.check_answer, which count_mergeable and the final-preserving policy call
+    # denoiser.check_answer, which count_mergeable and the final-preserving policy call
     den, record = make_instance(6)
     traj, bent = record.trajectory, BentAnswers(den, bend)
     answered = "the denoiser answered (63|64) positions, not exactly the state's 64 masked positions"
