@@ -106,18 +106,17 @@ class MaskedSequence:
         pass over every token: the rest of the state was validated when self
         was built.
         """
-        toks = list(self.tokens)
+        toks, prompt_len, gen_len, mask = list(self.tokens), self.prompt_len, self.gen_len, self.vocab.mask_id
         for pos, tok in assignments:
             if type(pos) is not int or type(tok) is not int:
                 pos, tok = _int(pos), _int(tok)
-            i = self.prompt_len + pos
-            if not 0 <= pos < self.gen_len:
+            if not 0 <= pos < gen_len:
                 raise ValueError(f"position {pos} outside generation region")
-            if toks[i] != self.vocab.mask_id:
+            if toks[prompt_len + pos] != mask:
                 raise ValueError(f"position {pos} already revealed")
-            if not self.vocab.is_token(tok):
+            if not 0 <= tok < mask:  # the mask id is one past the last token
                 raise ValueError(f"token {tok} out of vocabulary")
-            toks[i] = tok
+            toks[prompt_len + pos] = tok
         revealed = object.__new__(MaskedSequence)
         object.__setattr__(revealed, "tokens", tuple(toks))
         object.__setattr__(revealed, "prompt_len", self.prompt_len)

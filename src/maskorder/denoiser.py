@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,6 +25,7 @@ from .core import MaskedSequence, Vocabulary, check_members, load_archive, save_
 
 LOG_FLOOR = 1e-12  # deterministic chains produce exact zeros
 _EDGE = np.array([-1])  # an observation that is no token: the edge of a state
+_NEAR = np.array([[-1], [0]])  # from a position's next observation to the one before it and to itself
 
 __all__ = [
     "MarkovModel",
@@ -75,6 +77,9 @@ class MarkovModel:
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise DenoiserError("transition rows do not sum to 1")
         object.__setattr__(self, "_table", np.empty((0, V)))
+        # row a: the CDF of T[a], and row V: that of pi, each as rng.choice(V, p=row) forms it
+        cdfs = np.cumsum(np.vstack((transition, initial)), axis=1)
+        object.__setattr__(self, "_cdfs", (cdfs / cdfs[:, -1:]).tolist())
 
     @property
     def V(self) -> int:
@@ -83,6 +88,8 @@ class MarkovModel:
     def _powers(self, n: int) -> np.ndarray:
         """T^k and pi*T^k for the gaps k = 0..n-1 as one read-only (n*(V+1), V)
         table: row k*(V+1)+a is row a of T^k, and row k*(V+1)+V is pi*T^k.
+        The exception is T^0, which no pair of neighbours needs (they lie at
+        least one position apart): its rows are ones, a right edge's factor.
 
         The table is cached on the model and grown to the most gaps asked for,
         never beyond, and is freed with the model. Each power is the previous
@@ -93,9 +100,10 @@ class MarkovModel:
         if have < n:
             grown = np.empty((n, V + 1, V))
             grown.reshape(-1, V)[: len(table)] = table
-            for k in range(have, n):
-                grown[k, :V] = grown[k - 1, :V] @ self.transition if k else np.eye(V)
-            grown[:, V] = self.initial @ grown[:, :V]
+            for k in range(max(have, 1), n):
+                grown[k, :V] = grown[k - 1, :V] @ self.transition if k > 1 else self.transition
+            grown[1:, V] = self.initial @ grown[1:, :V]
+            grown[0] = np.vstack((np.ones((V, V)), self.initial))
             table = grown.reshape(-1, V)
             table.flags.writeable = False
             # one assignment: a concurrent query sees either the old or the new table
@@ -103,11 +111,15 @@ class MarkovModel:
         return table
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> tuple:
+        """A draw of `length` tokens from the chain, with one rng.random(length)
+        call: the tokens, and the generator's state after, of one
+        rng.choice(V, p=row) call per token."""
         if length < 0:
             raise ValueError(f"length must be nonnegative, got {length}")
-        toks = [int(rng.choice(self.V, p=self.initial))] if length else []
-        for _ in range(length - 1):
-            toks.append(int(rng.choice(self.V, p=self.transition[toks[-1]])))
+        toks, cdf = [], self._cdfs[-1]
+        for u in rng.random(length).tolist():
+            toks.append(bisect_right(cdf, u))
+            cdf = self._cdfs[toks[-1]]
         return tuple(toks)
 
     def sequence_logprob(self, tokens) -> float:
@@ -223,50 +235,53 @@ def _posteriors(model: MarkovModel, seqs) -> list:
     """markov_posterior of each state, in one pass over the states laid end to
     end between edges, -1, each row computed as if its state were alone. As a
     token index, -1 picks row V of the block one gap down: pi*T^i next to a
-    left edge. A failing batch raises a failing state's DenoiserError, every
+    left edge; next to a right edge the gap is taken as 0. A failing batch raises a failing state's DenoiserError, every
     state's vocabulary checked first, then the evidence, then masked positions."""
     V = model.V
-    parts, edges = [_EDGE], [0]
+    parts, edges, lengths, gen_lens, offsets = [_EDGE], [0], [], [], []
     for seq in seqs:
         if seq.vocab.size != V:
             raise DenoiserError(f"vocabulary mismatch: model V={V}, sequence V={seq.vocab.size}")
-        parts += (seq.token_array, _EDGE)
-        edges.append(edges[-1] + len(seq) + 1)
+        seq_tokens, edge = seq.token_array, edges[-1]
+        parts += (seq_tokens, _EDGE)
+        lengths.append(len(seq_tokens))
+        gen_lens.append(max(len(seq_tokens) - seq.prompt_len, 1))
+        offsets.append(edge + 1 + seq.prompt_len)  # where the state's generation region starts
+        edges.append(edge + len(seq_tokens) + 1)
     tokens = np.concatenate(parts)
     observed = tokens != V
     pos, obs = (~observed).nonzero()[0], observed.nonzero()[0]
     seen = tokens[obs]
-    powers = model._powers(max(map(len, seqs)) + 1)  # a state's edges lie L + 1 apart
+    powers = model._powers(max(lengths) + 1)  # a state's edges lie L + 1 apart
     # P(evidence) = (pi*T^o0)[t0] * prod T^(gap)[a, b] over consecutive observations
     ends = seen[1:]  # a pair that ends at an edge has no factor
     if np.minimum.reduce(powers[(obs[1:] - obs[:-1]) * (V + 1) + seen[:-1], ends], where=ends >= 0, initial=1.0) <= 0:
         raise DenoiserError("observed sequence has zero probability under the chain")
 
     # each masked position's nearest observations, tokens or edges, are obs[j - 1] and obs[j]
-    j = obs.searchsorted(pos)
-    before = j - 1
-    gap_left, gap_right = pos - obs[before], obs[j] - pos
-    rows = powers.take(gap_left * (V + 1) + seen[before], axis=0)
-    b = seen[j]
-    has_right = (b >= 0).nonzero()[0]  # the right edge's factor is 1
-    rows[has_right] *= powers.reshape(-1, V + 1, V)[gap_right[has_right], :V, b[has_right]]
+    near = obs.searchsorted(pos) + _NEAR
+    gaps, neighbours = np.abs(obs[near] - pos), seen[near]  # (2, rows): left, then right
+    rows = powers.take(gaps[0] * (V + 1) + neighbours[0], axis=0)
+    # the right factor; a right edge's gap is taken as 0, to gather T^0's ones
+    rows *= powers.reshape(-1, V + 1, V)[gaps[1] * (neighbours[1] >= 0), :V, neighbours[1]]
     rows /= rows.sum(axis=1, keepdims=True)
-    # a state's rows x..y-1 ascend, so those before p border its left edge, obs[e],
-    # and those from q on its right one, obs[f]
-    features, bounds = np.empty((len(pos), 3)), []
-    edge_obs = obs.searchsorted(edges).tolist()
-    for seq, edge, e, f in zip(seqs, edges, edge_obs, edge_obs[1:]):
-        x, p, q, y = j.searchsorted((e + 1, e + 2, f, f + 1)).tolist()
-        if x == y:
-            raise DenoiserError("sequence has no masked positions")
-        features[x:p, 0] = features[q:y, 1] = 1.0
-        features[p:y, 0] = gap_left[p:y] / len(seq)
-        features[x:q, 1] = gap_right[x:q] / len(seq)
-        features[x:y, 2] = (y - x) / max(seq.gen_len, 1)
-        pos[x:y] -= edge + 1 + seq.prompt_len  # generation-relative
-        bounds.append((x, y))
+    # state s owns the rows between its edges, bounds[s]:bounds[s + 1]
+    bounds = pos.searchsorted(edges)
+    counts = bounds[1:] - bounds[:-1]
+    if np.count_nonzero(counts) < len(seqs):
+        raise DenoiserError("sequence has no masked positions")
+    # each state's value at each of its rows, where one state's broadcasts
+    of_state = (lambda values: values[0]) if len(seqs) == 1 else lambda values: np.repeat(values, counts)
+    features = np.empty((len(pos), 3))
+    features.T[:2] = gaps / of_state(lengths)
+    features.T[:2][neighbours < 0] = 1.0
+    features[:, 2] = of_state(counts) / of_state(gen_lens)
+    pos -= of_state(offsets)  # generation-relative
     pos.flags.writeable = features.flags.writeable = False
-    return [DenoiserOutput(pos[x:y], rows[x:y], features[x:y]) for x, y in bounds]
+    if len(seqs) == 1:
+        return [DenoiserOutput(pos, rows, features)]
+    bounds = bounds.tolist()
+    return [DenoiserOutput(pos[x:y], rows[x:y], features[x:y]) for x, y in zip(bounds, bounds[1:])]
 
 
 def temper(

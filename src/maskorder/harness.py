@@ -22,7 +22,8 @@ from .orders import DecodeConfig, decode, decode_many
 THRESHOLD_GRID = tuple(round(0.3 + 0.1 * i, 1) for i in range(7))  # 0.3 .. 0.9
 INDICATOR_GRID = tuple(round(0.2 + 0.1 * i, 1) for i in range(7)) + (0.9,)  # 0.2 .. 0.8, 0.9
 # prompts gen_data decodes in lockstep at once: a step holds (rows, V) arrays for the whole
-# group, 2 MB each at gen_len 64 and V 16 (0.8 GB each for 100,000 prompts at once)
+# group, 2 MB each at gen_len 64 and V 16 (0.8 GB each for 100,000 prompts at once), among
+# them the block's own copy of the rows laid end to end, made for its one pick
 _LOCKSTEP_PROMPTS = 256
 
 __all__ = [
@@ -105,8 +106,8 @@ def gen_data(
     elif count == 1:
         trajs = [decode(denoiser, prompts[0], gen_len, replace(cfg, seed=seeds[0]))]
     else:
-        cfgs, n = [replace(cfg, seed=s) for s in seeds], _LOCKSTEP_PROMPTS
-        trajs = [t for g in range(0, count, n) for t in decode_many(denoiser, prompts[g : g + n], gen_len, cfgs[g : g + n])]
+        n = _LOCKSTEP_PROMPTS
+        trajs = [t for g in range(0, count, n) for t in decode_many(denoiser, prompts[g : g + n], gen_len, cfg, seeds[g : g + n])]
     return [SampleRecord(f"s{seed}-{i}", denoiser.vocab, p, gen_len, t) for i, (p, t) in enumerate(zip(prompts, trajs))]
 
 

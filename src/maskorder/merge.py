@@ -69,7 +69,8 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
     _check_length(traj, base.gen_len)
     groups = []
 
-    def choose(out, state):
+    def choose(live, outs, states):
+        (out,), (state,) = outs, states
         k = groups[-1][1] + 1 if groups else 1
         idx = count_mergeable(traj, k, state, out)
         groups.append((k, idx - 1))
@@ -77,7 +78,7 @@ def merge_trajectory(traj: Trajectory, base: MaskedSequence, denoiser):
         return traj.step_of[out.positions] < idx, traj.finals[out.positions]
 
     merged_traj = Trajectory(
-        run_steps(denoiser, [base], [choose], traj.n)[0],
+        run_steps(denoiser, [base], choose, traj.n)[0],
         meta={**traj.meta, "sampler": f"merge({traj.meta.get('sampler', '?')})"},
     )
     return merged_traj, _report(traj, merged_traj, tuple(groups))
@@ -97,7 +98,8 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
     _check_length(traj, base.gen_len)
     step = itertools.count(1)
 
-    def choose(out, state):
+    def choose(live, outs, states):
+        (out,), (state,) = outs, states
         check_answer(state, out, f"step {next(step)}")
         tokens = traj.finals[out.positions]
         rows = out.dists.argmax(axis=1) == tokens
@@ -106,7 +108,7 @@ def final_results_preserving(traj: Trajectory, base: MaskedSequence, denoiser):
         return rows, tokens
 
     frp_traj = Trajectory(
-        run_steps(denoiser, [base], [choose], base.gen_len)[0],
+        run_steps(denoiser, [base], choose, base.gen_len)[0],
         meta={**traj.meta, "sampler": f"final-preserving({traj.meta.get('sampler', '?')})"},
     )
     return frp_traj, _report(traj, frp_traj, None)

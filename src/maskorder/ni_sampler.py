@@ -44,8 +44,9 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
         raise ValueError("gen_len must be >= 1")
     rng = np.random.default_rng(cfg.base.seed)
 
-    def choose(out, state):
-        tokens = sample_tokens(out.dists, cfg.base.temperature, rng)
+    def choose(live, outs, states):
+        (out,) = outs
+        tokens = sample_tokens(out.dists, cfg.base.temperature, [rng])
         revealed = np.zeros(len(out.positions), dtype=bool)
         revealed[select_positions(out, cfg.base)] = True
         rest = np.flatnonzero(~revealed)
@@ -59,7 +60,7 @@ def ni_decode(denoiser, indicator, prompt, gen_len: int, cfg: NIConfig) -> Traje
 
     base = MaskedSequence.fully_masked(prompt, gen_len, denoiser.vocab)
     return Trajectory(
-        run_steps(denoiser, [base], [choose], gen_len)[0],
+        run_steps(denoiser, [base], choose, gen_len)[0],
         meta={
             "sampler": "ni",
             "seed": cfg.base.seed,

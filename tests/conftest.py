@@ -198,8 +198,9 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
     label_cfg = LabelingConfig(k1=1, k2=1, min_pos_prob=0.0)  # only the labels are used
     k = 1
 
-    def choose(out, state):
+    def choose(live, outs, states):
         nonlocal k
+        (out,), (state,) = outs, states
         rows = label_state(record, k, denoiser, label_cfg).columns["label"] == 1
         prefix = np.where(traj.step_of < k, traj.finals, state.vocab.mask_id)
         if not np.array_equal(state.token_array[state.prompt_len :], prefix):
@@ -208,7 +209,7 @@ def oracle_indicator_decode(denoiser, record) -> Trajectory:
         return rows, traj.finals[out.positions]
 
     return Trajectory(
-        run_steps(denoiser, [record.base()], [choose], traj.n)[0],
+        run_steps(denoiser, [record.base()], choose, traj.n)[0],
         meta={**traj.meta, "sampler": "oracle-indicator"},
     )
 

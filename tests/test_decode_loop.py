@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from conftest import ConstantIndicator, oracle_indicator_decode, permutation_chain, random_chain, row_at
-from maskorder import harness
-from maskorder.core import MaskedSequence, SampleRecord, apply_steps, final_tokens, validate_partition
-from maskorder.denoiser import DenoiserError, MarkovDenoiser, TemperedDenoiser
+from maskorder import harness, orders
+from maskorder.core import MaskedSequence, SampleRecord, Vocabulary, apply_steps, final_tokens, validate_partition
+from maskorder.denoiser import DenoiserError, DenoiserOutput, MarkovDenoiser, TemperedDenoiser
 from maskorder.merge import final_results_preserving, merge_trajectory
 from maskorder.ni_sampler import NIConfig, ni_decode
 from maskorder.orders import RULES, DecodeConfig, decode, decode_many, run_steps
@@ -123,8 +123,9 @@ def test_greedy_policies_commit_the_argmax_of_the_revealing_state(instance, scor
                 assert tok == int(np.argmax(row_at(out, pos)))
 
 
-def zeros(out):
-    return np.zeros(len(out.positions), dtype=np.int64)
+def zeros(outs):
+    """Token 0 for every row of the answers laid end to end."""
+    return np.zeros(sum(len(out.positions) for out in outs), dtype=np.int64)
 
 
 class _Counting:
@@ -143,10 +144,10 @@ def test_the_loop_queries_once_per_step(instance):
     counting = _Counting(den)
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
 
-    def first_masked(out, state):
-        return [0], zeros(out)
+    def first_masked(live, outs, states):
+        return [0], zeros(outs)
 
-    steps = run_steps(counting, [base], [first_masked], gen_len)[0]
+    steps = run_steps(counting, [base], first_masked, gen_len)[0]
     assert len(steps) == gen_len == counting.queries
 
 
@@ -158,13 +159,13 @@ def test_the_loop_stops_when_a_multi_position_policy_reveals_the_last_position(i
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
     seen = []
 
-    def leftmost(out, state):
-        seen.append(len(out.positions))
-        return np.arange(min(per_step, len(out.positions))), zeros(out)
+    def leftmost(live, outs, states):
+        seen.append(len(outs[0].positions))
+        return np.arange(min(per_step, len(outs[0].positions))), zeros(outs)
 
     expected = -(-gen_len // per_step)
     # a budget of exactly the steps needed: one more iteration would exceed it
-    steps = run_steps(counting, [base], [leftmost], expected)[0]
+    steps = run_steps(counting, [base], leftmost, expected)[0]
     assert len(steps) == counting.queries == expected
     assert seen == list(range(gen_len, 0, -per_step))
     assert sorted(pos for step in steps for pos, _ in step) == list(range(gen_len))
@@ -177,10 +178,10 @@ def test_a_policy_that_reveals_everything_at_once_takes_one_step(instance):
     counting = _Counting(den)
     base = MaskedSequence.fully_masked(prompt, gen_len, den.vocab)
 
-    def everything(out, state):
-        return np.ones(len(out.positions), dtype=bool), zeros(out)
+    def everything(live, outs, states):
+        return np.ones(len(outs[0].positions), dtype=bool), zeros(outs)
 
-    steps = run_steps(counting, [base], [everything], 1)[0]
+    steps = run_steps(counting, [base], everything, 1)[0]
     assert len(steps) == counting.queries == 1
     assert steps[0] == frozenset((pos, 0) for pos in range(gen_len))
 
@@ -189,14 +190,14 @@ def test_a_stalled_policy_exhausts_the_step_budget():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)
     with pytest.raises(RuntimeError, match="step budget of 3"):
-        run_steps(den, [base], [lambda out, state: ([], zeros(out))], 3)
+        run_steps(den, [base], lambda live, outs, states: ([], zeros(outs)), 3)
 
 
 def test_a_row_chosen_twice_is_an_error():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     base = MaskedSequence.fully_masked((0,), 4, den.vocab)
     with pytest.raises(ValueError, match="already revealed"):
-        run_steps(den, [base], [lambda out, state: ([1, 1], zeros(out))], 4)
+        run_steps(den, [base], lambda live, outs, states: ([1, 1], zeros(outs)), 4)
 
 
 @SETTINGS
@@ -210,13 +211,14 @@ def test_a_mask_and_its_index_array_give_the_same_step(instance, data):
     tokens = np.array(data.draw(st.lists(st.integers(0, den.vocab.size - 1), min_size=gen_len, max_size=gen_len)))
 
     def first_then_the_rest(first):
-        def choose(out, state):
+        def choose(live, outs, states):
+            (out,) = outs
             rows = first if len(out.positions) == gen_len else np.arange(len(out.positions))
             return rows, tokens[out.positions]
 
         return choose
 
-    steps = [run_steps(den, [base], [first_then_the_rest(rows)], 2)[0] for rows in (mask, np.flatnonzero(mask))]
+    steps = [run_steps(den, [base], first_then_the_rest(rows), 2)[0] for rows in (mask, np.flatnonzero(mask))]
     assert steps[0] == steps[1]
     assert steps[0][0] == frozenset(zip(np.flatnonzero(mask).tolist(), tokens[mask].tolist()))
 
@@ -278,21 +280,21 @@ def test_gen_data_writes_the_records_of_per_prompt_decodes_in_every_mode(
 @SETTINGS
 @given(lockstep_instances(), st.data())
 def test_decode_many_gives_each_prompt_its_own_decode(instance, data):
-    den, model, _, gen_len, count, _, seed = instance
+    den, model, _, gen_len, count, cfg, seed = instance
     rng = np.random.default_rng(seed)
     prompts = [model.sample_sequence(data.draw(st.integers(0, 3)), rng) for _ in range(count)]
-    cfgs = [
-        DecodeConfig(
-            rule=data.draw(st.sampled_from(RULES)),
-            threshold=data.draw(st.none() | st.floats(0.05, 1.0)),
-            temperature=data.draw(st.none() | st.floats(0.5, 2.0)),
-            seed=i,
-        )
-        for i in range(count)
-    ]
-    together = decode_many(den, prompts, gen_len, cfgs)
-    alone = [decode(den, prompt, gen_len, cfg) for prompt, cfg in zip(prompts, cfgs)]
+    seeds = data.draw(st.lists(st.integers(0, 10_000), min_size=count, max_size=count))
+    together = decode_many(den, prompts, gen_len, cfg, seeds)
+    alone = [decode(den, prompt, gen_len, replace(cfg, seed=s)) for prompt, s in zip(prompts, seeds)]
     assert [(t.steps, t.meta) for t in together] == [(t.steps, t.meta) for t in alone]
+
+
+def test_decode_many_takes_one_nonnegative_seed_per_prompt():
+    den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="2 prompts but 1 seeds"):
+        decode_many(den, [(0,), (1,)], 4, DecodeConfig(), [0])
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        decode_many(den, [(0,), (1,)], 4, DecodeConfig(), [0, -1])
 
 
 def test_gen_data_decodes_a_long_prompt_list_group_by_group(monkeypatch):
@@ -325,9 +327,9 @@ def test_lockstep_raises_the_error_of_a_prompt_decoded_alone():
 def test_a_stalled_policy_exhausts_the_step_budget_in_lockstep():
     den = MarkovDenoiser(random_chain(3, np.random.default_rng(0)))
     bases = [MaskedSequence.fully_masked((0,), n, den.vocab) for n in (4, 2)]
-    policies = [lambda out, state: ([0], zeros(out)), lambda out, state: ([], zeros(out))]
+    # the first sequence reveals a row each step, the second none
     with pytest.raises(RuntimeError, match="step budget of 3"):
-        run_steps(den, bases, policies, 3)
+        run_steps(den, bases, lambda live, outs, states: ([0], zeros(outs)), 3)
 
 
 class _CountingMany(_Counting):
@@ -342,9 +344,92 @@ def test_the_loop_queries_the_live_sequences_together_and_one_alone():
     bases = [MaskedSequence.fully_masked((0,), n, den.vocab) for n in (3, 1, 2)]
     bases.append(bases[0].reveal([(0, 1), (1, 1), (2, 1)]))  # nothing to decode
 
-    def first_masked(out, state):
-        return [0], zeros(out)
+    def first_masked_of_each(live, outs, states):
+        return np.cumsum([0] + [len(out.positions) for out in outs[:-1]]), zeros(outs)
 
-    steps = run_steps(den, bases, [first_masked] * 4, 3)
+    steps = run_steps(den, bases, first_masked_of_each, 3)
     assert [len(s) for s in steps] == [3, 1, 2, 0]
     assert den.batches == [3, 2] and den.queries == 1  # the third step has one live sequence
+
+
+def test_a_lockstep_step_scores_the_block_once(monkeypatch):
+    den = TemperedDenoiser(MarkovDenoiser(random_chain(4, np.random.default_rng(2))), noise_scale=0.3, seed=1)
+    prompts = [(0,), (1, 2), (3,), (2,), (0, 0)]
+    calls = {"position_scores": 0, "select_positions": 0}
+
+    def counted(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(orders, name, counted(name, getattr(orders, name)))
+    for cfg in (DecodeConfig(threshold=0.7), DecodeConfig(rule="margin", threshold=0.7, temperature=1.0), DecodeConfig()):
+        calls.update(position_scores=0, select_positions=0)
+        trajs = decode_many(den, prompts, 8, cfg, range(len(prompts)))
+        steps = max(t.n for t in trajs)
+        assert calls == {"position_scores": steps, "select_positions": steps}
+
+
+class _Scripted:
+    """A denoiser whose rows depend on the prompt's first token: after 0, the
+    even positions are confident and the odd ones are not; after 1, no row
+    reaches 0.9 and each row's top probability falls with its position."""
+
+    vocab, feature_dim, config_id = Vocabulary(3), 1, "scripted"
+
+    def query(self, state):
+        positions = np.flatnonzero(state.token_array[state.prompt_len :] == self.vocab.mask_id)
+        if state.tokens[0] == 0:
+            rows = np.where((positions % 2 == 0)[:, None], [0.96, 0.02, 0.02], [0.4, 0.35, 0.25])
+        else:
+            rows = np.stack([0.5 - 0.01 * positions, 0.3 + 0.01 * positions, np.full(len(positions), 0.2)], axis=1)
+        return DenoiserOutput(positions, rows, np.zeros((len(positions), 1)))
+
+    def query_many(self, states):
+        return [self.query(state) for state in states]
+
+
+@pytest.mark.parametrize("temperature", [None, 1.0])
+def test_a_lockstep_step_mixes_prompts_that_fall_back_with_confident_ones(temperature):
+    den, cfg = _Scripted(), DecodeConfig(threshold=0.9, temperature=temperature)
+    prompts, seeds = [(0,), (1,), (0, 2), (1, 1)], [3, 4, 5, 6]
+    together = decode_many(den, prompts, 6, cfg, seeds)
+    alone = [decode(den, prompt, 6, replace(cfg, seed=s)) for prompt, s in zip(prompts, seeds)]
+    assert [t.steps for t in together] == [t.steps for t in alone]
+    # the first step: every even position after a 0, and the fallback's single row after a 1
+    assert [sorted(pos for pos, _ in t.steps[0]) for t in together] == [[0, 2, 4], [0], [0, 2, 4], [0]]
+
+
+class _NaNForPrompt:
+    """Wraps a denoiser and gives the first row of every state whose prompt is `prompt` NaNs."""
+
+    def __init__(self, inner, prompt):
+        self.inner, self.prompt = inner, prompt
+        self.vocab, self.feature_dim, self.config_id = inner.vocab, inner.feature_dim, inner.config_id
+
+    def _spoil(self, state, out):
+        if state.tokens[: state.prompt_len] != self.prompt:
+            return out
+        dists = out.dists.copy()
+        dists[0] = np.nan
+        return DenoiserOutput(out.positions, dists, out.features)
+
+    def query(self, state):
+        return self._spoil(state, self.inner.query(state))
+
+    def query_many(self, states):
+        return [self._spoil(s, out) for s, out in zip(states, self.inner.query_many(states))]
+
+
+@pytest.mark.parametrize("threshold", [None, 0.6])
+def test_a_nan_row_in_one_state_of_a_batch_raises_as_decoding_that_prompt_alone(threshold):
+    den = _NaNForPrompt(MarkovDenoiser(random_chain(3, np.random.default_rng(0))), (2,))
+    cfg = DecodeConfig(threshold=threshold)
+    with pytest.raises(ValueError) as alone:
+        decode(den, (2,), 5, cfg)
+    with pytest.raises(ValueError) as together:
+        decode_many(den, [(0,), (2,), (1,)], 5, cfg, [0, 1, 2])
+    assert str(together.value) == str(alone.value) == "a row is not a normalized distribution"

@@ -110,17 +110,37 @@ class TestMarkovModel:
         with pytest.raises(DenoiserError, match="finite"):
             MarkovModel.load(path)
 
-    def test_sample_sequence_lengths(self):
-        model = sticky_chain(4, 0.9)
-        assert model.sample_sequence(0, np.random.default_rng(0)) == ()
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["random", "sticky", "permutation", "sparse"]),
+        st.integers(2, 9),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("sticky", 4, 0, 0)
+    @example("sparse", 2, 1, 0)
+    def test_sample_sequence_lengths(self, kind, V, length, seed):
+        if kind == "random":
+            model = random_chain(V, np.random.default_rng(seed), diag_boost=2.0)
+        elif kind == "sticky":
+            model = sticky_chain(V, 0.9)
+        elif kind == "permutation":
+            model = permutation_chain(V)
+        else:  # zero-probability tokens, also the last one of a row
+            rows = np.random.default_rng(seed).dirichlet(np.ones(V), size=V + 1)
+            rows[:, [0, -1]] = 0.0
+            rows[:, 1] += 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+            model = MarkovModel(rows[V], rows[:V])
         with pytest.raises(ValueError, match="nonnegative"):
             model.sample_sequence(-2, np.random.default_rng(0))
-        # positive lengths draw the chain's first token, then one per transition
-        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        tokens = [int(reference.choice(4, p=model.initial))]
-        for _ in range(5):
-            tokens.append(int(reference.choice(4, p=model.transition[tokens[-1]])))
-        assert model.sample_sequence(6, rng) == tuple(tokens)
+        # the chain's first token, then one per transition, each one rng.choice draw
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        tokens = [int(reference.choice(V, p=model.initial))] if length else []
+        for _ in range(length - 1):
+            tokens.append(int(reference.choice(V, p=model.transition[tokens[-1]])))
+        assert model.sample_sequence(length, rng) == tuple(tokens)
+        assert rng.random() == reference.random()  # the generator ends where the draws left it
 
     def test_config_file_round_trip(self, tmp_path):
         model = sticky_chain(4, 0.9)
@@ -258,9 +278,11 @@ class TestMarkovPosterior:
             den.query(MaskedSequence.fully_masked((1,), L - 1, den.vocab))
             assert model._table.shape == ((longest + 1) * 6, 5)  # a query of length L gathers gaps 0..L
         t_pows, pi_pows = cached_powers(model, 52)
-        for k in (0, 1, 7, 51):
+        assert np.array_equal(t_pows[1], model.transition) and np.array_equal(pi_pows[0], model.initial)
+        for k in (1, 7, 51):
             np.testing.assert_allclose(t_pows[k], np.linalg.matrix_power(model.transition, k), atol=1e-14)
             np.testing.assert_allclose(pi_pows[k], model.initial @ t_pows[k], atol=1e-14)
+        assert np.array_equal(t_pows[0], np.ones((5, 5)))  # no neighbours are 0 apart: T^0 holds a right edge's factor 1
         assert not model._table.flags.writeable
         assert not t_pows.flags.writeable and not pi_pows.flags.writeable
 
@@ -425,7 +447,8 @@ class TestTemper:
 
 
 def cached_powers(model: MarkovModel, n: int) -> tuple:
-    """(T^k, pi*T^k) for k = 0..n-1 as the model's cache holds them, bit for bit."""
+    """(T^k, pi*T^k) for k = 0..n-1 as the model's cache holds them, bit for bit
+    (for k = 0 the cache holds ones in place of the identity)."""
     table = model._powers(n)[: n * (model.V + 1)].reshape(n, model.V + 1, model.V)
     return table[:, : model.V], table[:, model.V]
 

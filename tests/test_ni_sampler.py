@@ -152,7 +152,7 @@ class TestIndicatorBatches:
         batches = iter(indicator.batches)
         for out, step in zip(den.outs, traj.steps):
             committed = dict(step)
-            tokens = sample_tokens(out.dists, temperature, rng)
+            tokens = sample_tokens(out.dists, temperature, [rng])
             picked = select_positions(out, base).tolist()
             for j in picked:
                 assert committed[int(out.positions[j])] == tokens[j]

@@ -111,6 +111,31 @@ class TestSelectPositions:
         out = output_for([[0.6, 0.4], [0.6, 0.4]])
         assert select_positions(out, DecodeConfig()).tolist() == [0]
 
+    def test_a_block_mixes_states_with_confident_rows_and_states_that_fall_back(self):
+        states = [[[0.95, 0.05], [0.6, 0.4], [0.92, 0.08]], [[0.4, 0.6], [0.3, 0.7]], [[0.99, 0.01]]]
+        block = output_for([row for rows in states for row in rows])
+        assert select_positions(block, DecodeConfig(threshold=0.9), [0, 3, 5]).tolist() == [0, 2, 4, 5]
+        assert select_positions(block, DecodeConfig(), [0, 3, 5]).tolist() == [0, 4, 5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(distributions(), st.data())
+    def test_each_state_of_a_block_picks_as_it_picks_alone(self, rows, data):
+        starts = sorted({0} | set(data.draw(st.lists(st.integers(1, len(rows) - 1), max_size=3)) if len(rows) > 1 else {0}))
+        bounds = list(zip(starts, [*starts[1:], len(rows)]))
+        for rule in RULES:
+            for threshold in (None, 0.2, 0.5, 0.9, 1.0):
+                cfg = DecodeConfig(rule=rule, threshold=threshold)
+                alone = [a + select_positions(output_for(rows[a:b]), cfg) for a, b in bounds]
+                assert select_positions(output_for(rows), cfg, starts).tolist() == np.concatenate(alone).tolist()
+
+    def test_a_state_without_rows_is_rejected(self):
+        rows = [[0.95, 0.05], [0.6, 0.4]]
+        for starts in ([0, 2], [0, 1, 1], []):
+            with pytest.raises(ValueError, match="no masked positions"):
+                select_positions(output_for(rows), DecodeConfig(threshold=0.9), starts)
+        with pytest.raises(ValueError, match="no masked positions"):
+            select_positions(output_for(np.empty((0, 2))), DecodeConfig())
+
 
 class _RiggedGenerator:
     """Stands in for a numpy Generator whose every uniform is `value`."""
@@ -129,33 +154,33 @@ class TestSampleTokens:
 
     def test_delta_row_is_deterministic(self):
         rng = np.random.default_rng(0)
-        assert all(sample_tokens(np.array([[0.0, 1.0]]), 1.0, rng)[0] == 1 for _ in range(20))
+        assert all(sample_tokens(np.array([[0.0, 1.0]]), 1.0, [rng])[0] == 1 for _ in range(20))
 
     def test_reproducible_under_fixed_seed(self):
         rows = np.full((6, 2), 0.5)
-        a = sample_tokens(rows, 1.0, np.random.default_rng(9))
-        b = sample_tokens(rows, 1.0, np.random.default_rng(9))
+        a = sample_tokens(rows, 1.0, [np.random.default_rng(9)])
+        b = sample_tokens(rows, 1.0, [np.random.default_rng(9)])
         assert a.tolist() == b.tolist()
 
     def test_empirical_frequency(self):
         rng = np.random.default_rng(1)
         rows = np.tile([0.9, 0.1], (100_000, 1))
-        draws = sample_tokens(rows, 1.0, rng)
+        draws = sample_tokens(rows, 1.0, [rng])
         assert np.mean(draws == 0) == pytest.approx(0.9, abs=0.01)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
-            sample_tokens(np.array([[1.0, 0.0]]), 0.0, np.random.default_rng(0))
+            sample_tokens(np.array([[1.0, 0.0]]), 0.0, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("temperature", [-1.0, float("inf"), float("nan")])
     def test_rejects_a_negative_or_non_finite_temperature(self, temperature):
         with pytest.raises(ValueError):
-            sample_tokens(np.array([[1.0, 0.0]]), temperature, np.random.default_rng(0))
+            sample_tokens(np.array([[1.0, 0.0]]), temperature, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 100.0, 1e300])
     def test_the_largest_uniform_draws_the_last_possible_token(self, temperature):
         rows = np.array([[0.3, 0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0]])
-        tokens = sample_tokens(rows, temperature, _RiggedGenerator(1.0 - 2.0**-53))
+        tokens = sample_tokens(rows, temperature, [_RiggedGenerator(1.0 - 2.0**-53)])
         assert tokens.tolist() == [1, 0, 3, 2]
 
     @settings(max_examples=60, deadline=None)
@@ -165,13 +190,23 @@ class TestSampleTokens:
         st.sampled_from([0.0, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True),
     )
     def test_never_draws_a_token_of_probability_zero(self, rows, temperature, u):
-        tokens = sample_tokens(rows, temperature, _RiggedGenerator(u))
+        tokens = sample_tokens(rows, temperature, [_RiggedGenerator(u)])
         assert np.all(rows[np.arange(len(rows)), tokens] > 0)
+
+    def test_each_state_of_a_block_draws_from_its_own_generator(self):
+        rows = np.random.default_rng(3).dirichlet(np.ones(4), size=9)
+        starts, seeds = [0, 2, 7], [5, 6, 7]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        tokens = sample_tokens(rows, 1.3, rngs, starts)
+        refs = [np.random.default_rng(s) for s in seeds]
+        alone = [sample_tokens(rows[a:b], 1.3, [ref]) for ref, a, b in zip(refs, starts, [2, 7, 9])]
+        assert tokens.tolist() == np.concatenate(alone).tolist()
+        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
     def test_one_call_advances_the_generator_as_one_uniform_per_row(self):
         rows = np.random.default_rng(3).dirichlet(np.ones(5), size=7)
         rng, reference = np.random.default_rng(4), np.random.default_rng(4)
-        sample_tokens(rows, 1.3, rng)
+        sample_tokens(rows, 1.3, [rng])
         reference.random(7)
         assert rng.random(3).tolist() == reference.random(3).tolist()
 
